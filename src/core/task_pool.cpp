@@ -3,15 +3,9 @@
 #include <algorithm>
 #include <exception>
 #include <iterator>
-#include <memory>
 #include <thread>
-#include <utility>
 
-#include "core/testbed.hpp"
-#include "obs/event_log.hpp"
-#include "obs/profiler.hpp"
-#include "obs/registry.hpp"
-#include "obs/timeseries.hpp"
+#include "obs/context.hpp"
 #include "util/clock.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -22,21 +16,6 @@ namespace {
 
 thread_local bool t_inside_worker = false;
 thread_local std::vector<report::WorkerSpan>* t_span_sink = nullptr;
-
-/// Restores the calling thread's trace capture sink on scope exit, so a
-/// throwing task cannot leave the thread pointed at a dead buffer.
-class CaptureGuard {
- public:
-  explicit CaptureGuard(std::string* sink) : previous_(trace_capture()) {
-    set_trace_capture(sink);
-  }
-  ~CaptureGuard() { set_trace_capture(previous_); }
-  CaptureGuard(const CaptureGuard&) = delete;
-  CaptureGuard& operator=(const CaptureGuard&) = delete;
-
- private:
-  std::string* previous_;
-};
 
 }  // namespace
 
@@ -63,49 +42,15 @@ void TaskPool::run(std::size_t count,
                    const std::atomic<bool>* cancel,
                    const std::string& label) {
   if (count == 0) return;
-  std::string* parent_sink = trace_capture();
-  obs::Registry* parent_registry = obs::current();
-  obs::Profiler* parent_profiler = obs::current_profiler();
-  // vgrid-lint: allow(obs-eventlog-gateway): TaskPool is the sanctioned
-  // merge seam — it routes per-task sub-logs and folds them in task order.
-  obs::EventLog* parent_event_log = obs::current_event_log();
-  obs::Timeseries* parent_timeseries = obs::current_timeseries();
   const bool top_level = !t_inside_worker;
 
-  // Per-task slots: capture buffers, metric sub-registries, profilers,
-  // spans, and exceptions are all indexed by task so no output depends on
-  // completion order.
-  std::vector<std::string> buffers(parent_sink != nullptr ? count : 0);
-  std::vector<std::unique_ptr<obs::Registry>> registries;
-  if (parent_registry != nullptr) {
-    registries.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      registries.push_back(std::make_unique<obs::Registry>());
-    }
-  }
-  std::vector<std::unique_ptr<obs::Profiler>> profilers;
-  if (parent_profiler != nullptr) {
-    profilers.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      profilers.push_back(std::make_unique<obs::Profiler>());
-    }
-  }
-  std::vector<std::unique_ptr<obs::EventLog>> event_logs;
-  if (parent_event_log != nullptr) {
-    event_logs.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      event_logs.push_back(
-          std::make_unique<obs::EventLog>(parent_event_log->config()));
-    }
-  }
-  std::vector<std::unique_ptr<obs::Timeseries>> timeseries;
-  if (parent_timeseries != nullptr) {
-    timeseries.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      timeseries.push_back(
-          std::make_unique<obs::Timeseries>(parent_timeseries->config()));
-    }
-  }
+  // Per-task slots: observability sinks, spans, and exceptions are all
+  // indexed by task so no output depends on completion order. The fan-out
+  // forks every sink the calling thread has installed (metrics, profile,
+  // journal, timeseries, trace capture) on BOTH the inline and the
+  // threaded path, and merges them in task order below — so every export
+  // is byte-identical for any --jobs value.
+  obs::FanOut sinks(obs::context(), count);
   std::vector<report::WorkerSpan> spans(count);
   std::vector<std::exception_ptr> errors(count);
   std::atomic<bool> failed{false};
@@ -116,25 +61,7 @@ void TaskPool::run(std::size_t count,
     span.label = util::format("%s %zu", label.c_str(), index);
     span.start_ns = util::monotonic_time_ns();
     try {
-      CaptureGuard guard(parent_sink != nullptr ? &buffers[index]
-                                                : nullptr);
-      // Metrics route into a per-task registry on BOTH the inline and the
-      // threaded path, then merge in task order below — so snapshots are
-      // byte-identical for any --jobs value.
-      obs::ScopedRegistry obs_guard(
-          parent_registry != nullptr ? registries[index].get() : nullptr);
-      // Same routing for profiling scopes: a Profiler is thread-confined,
-      // so each task records into its own tree, merged in task order.
-      obs::ScopedProfiler prof_guard(
-          parent_profiler != nullptr ? profilers[index].get() : nullptr);
-      // And for lifecycle journals: per-task sub-logs keep event order a
-      // pure function of the task index.
-      obs::ScopedEventLog evt_guard(
-          parent_event_log != nullptr ? event_logs[index].get() : nullptr);
-      // And for time-resolved sampling: each task's testbed timer scrapes
-      // into a per-task sub-series, merged in task order below.
-      obs::ScopedTimeseries ts_guard(
-          parent_timeseries != nullptr ? timeseries[index].get() : nullptr);
+      const obs::ScopedContext scope = sinks.install(index);
       task(index);
     } catch (...) {
       errors[index] = std::current_exception();
@@ -188,31 +115,9 @@ void TaskPool::run(std::size_t count,
                      label.c_str(), count));
   }
 
-  // Success: reassemble per-task captures in task order — byte-identical
-  // to a serial run — and publish the spans.
-  if (parent_sink != nullptr) {
-    for (const std::string& buffer : buffers) parent_sink->append(buffer);
-  }
-  if (parent_registry != nullptr) {
-    for (const auto& registry : registries) {
-      parent_registry->merge_from(*registry);
-    }
-  }
-  if (parent_profiler != nullptr) {
-    for (const auto& profiler : profilers) {
-      parent_profiler->merge_from(*profiler);
-    }
-  }
-  if (parent_event_log != nullptr) {
-    for (const auto& event_log : event_logs) {
-      parent_event_log->merge_from(*event_log);
-    }
-  }
-  if (parent_timeseries != nullptr) {
-    for (const auto& sub_series : timeseries) {
-      parent_timeseries->merge_from(*sub_series);
-    }
-  }
+  // Success: fold the per-task sinks in task order — byte-identical to a
+  // serial run — and publish the spans.
+  sinks.merge();
   if (top_level && t_span_sink != nullptr) {
     t_span_sink->insert(t_span_sink->end(),
                         std::make_move_iterator(spans.begin()),

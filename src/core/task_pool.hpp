@@ -7,8 +7,10 @@
 //
 //  - outputs go into caller-preallocated slots indexed by task, never into
 //    shared accumulators;
-//  - determinism-audit trace capture (core::set_trace_capture) is routed
-//    into a per-task buffer and reassembled in task order after the run;
+//  - the calling thread's observability sinks (obs::Context: metrics,
+//    profile, journal, timeseries, determinism-audit trace capture) are
+//    forked per task by obs::FanOut and merged in task order after a
+//    successful run;
 //  - a task's exception is recorded in its slot and the lowest-index one
 //    is rethrown after all workers joined, so error reporting does not
 //    depend on scheduling either.
@@ -27,7 +29,7 @@
 
 namespace vgrid::core {
 
-/// Per-worker wall-clock span sink (thread-local, like trace capture):
+/// Per-worker wall-clock span sink (thread-local, top-level runs only):
 /// while non-null, every top-level TaskPool::run on this thread appends
 /// one report::WorkerSpan per task after the run completes. Spans are
 /// observability only (report::worker_trace_json); they never influence
@@ -54,7 +56,7 @@ class TaskPool {
   /// mid-run, unstarted tasks are skipped, workers are joined, and a
   /// util::SimulationError is thrown (torn-down-mid-run teardown: no
   /// partial output escapes — the caller's slots are simply abandoned and
-  /// nothing is appended to the trace capture). `label` prefixes the
+  /// nothing merges into the caller's sinks). `label` prefixes the
   /// per-task worker spans.
   void run(std::size_t count, const std::function<void(std::size_t)>& task,
            const std::atomic<bool>* cancel = nullptr,

@@ -1,5 +1,6 @@
 #include "core/testbed.hpp"
 
+#include "obs/context.hpp"
 #include "obs/registry.hpp"
 #include "obs/timeseries.hpp"
 #include "util/error.hpp"
@@ -17,11 +18,6 @@ hw::MachineConfig paper_machine_config() {
 }
 
 namespace {
-// Destination of the determinism-audit capture; nullptr when disabled.
-// Thread-local so concurrent TaskPool workers each capture into their own
-// per-task buffer (reassembled in task order by the pool).
-thread_local std::string* g_trace_capture = nullptr;
-
 // Repeating sim-time sampler tick: scrapes the task's ambient Registry
 // into its ambient obs::Timeseries every interval of SIMULATED time.
 // Re-arms only while the simulation processed other events since the
@@ -49,10 +45,6 @@ struct SamplerTick {
 };
 }  // namespace
 
-void set_trace_capture(std::string* sink) { g_trace_capture = sink; }
-
-std::string* trace_capture() noexcept { return g_trace_capture; }
-
 sim::EventQueue::Storage Testbed::take_storage(TestbedArena* arena) {
   return arena != nullptr ? arena->take() : sim::EventQueue::Storage{};
 }
@@ -67,12 +59,13 @@ Testbed::Testbed(hw::MachineConfig machine_config,
       simulator_(take_storage(arena)),
       machine_(simulator_, machine_config, &tracer_),
       host_os_(host_os) {
-  if (g_trace_capture != nullptr) tracer_.enable(true);
+  const obs::Context sinks = obs::context();
+  if (sinks.trace_capture != nullptr) tracer_.enable(true);
   // Time-resolved sampling: when this thread has both a Timeseries and a
   // Registry installed, take the t=0 baseline scrape and arm the
   // repeating sampler (see obs/timeseries.hpp for the quartet contract).
-  obs::Timeseries* timeseries = obs::current_timeseries();
-  obs::Registry* registry = obs::current();
+  obs::Timeseries* timeseries = sinks.timeseries;
+  obs::Registry* registry = sinks.registry;
   if (timeseries != nullptr && registry != nullptr &&
       timeseries->config().interval_ms > 0) {
     timeseries->sample(*registry, 0);
@@ -92,9 +85,9 @@ Testbed::Testbed(hw::MachineConfig machine_config,
 }
 
 Testbed::~Testbed() {
-  if (g_trace_capture != nullptr) {
-    g_trace_capture->append("=== testbed trace ===\n");
-    g_trace_capture->append(tracer_.dump());
+  if (std::string* capture = obs::context().trace_capture) {
+    capture->append("=== testbed trace ===\n");
+    capture->append(tracer_.dump());
   }
   if (arena_ != nullptr) {
     arena_->recycle(simulator_.release_queue_storage());

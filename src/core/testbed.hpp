@@ -35,22 +35,6 @@ hw::MachineConfig paper_machine_config();
 /// defined in the os layer, re-exported here for the experiment code.
 using HostOs = os::HostOs;
 
-/// Determinism-audit hook: while `sink` is non-null, every Testbed built
-/// on the *calling thread* enables its tracer at construction and appends
-/// the full trace dump to `sink` at destruction. Two same-seed experiment
-/// runs must produce byte-identical sinks (`vgrid determinism-audit`).
-/// Pass nullptr to disable.
-///
-/// The hook is thread-local: each simulation still runs single-threaded,
-/// but core::TaskPool runs many independent simulations concurrently and
-/// routes each task's capture into a per-slot buffer via this hook, then
-/// reassembles the buffers in task order — so the captured stream is
-/// byte-identical regardless of worker count or completion order.
-void set_trace_capture(std::string* sink);
-
-/// The calling thread's current capture sink (nullptr when disabled).
-std::string* trace_capture() noexcept;
-
 /// Recyclable allocation pool for consecutive short-lived testbeds. One
 /// arena belongs to one thread (a fleet shard); a Testbed constructed with
 /// an arena takes the pooled event-queue storage and returns it at
@@ -75,6 +59,14 @@ class TestbedArena {
   sim::EventQueue::Storage storage_;
 };
 
+/// Observability routing goes through the calling thread's obs::Context
+/// (obs/context.hpp): with `trace_capture` set, a Testbed enables its
+/// tracer at construction and appends the full trace dump to the capture
+/// installed when it is destroyed — two same-seed runs must produce
+/// byte-identical captures (`vgrid determinism-audit`); with both
+/// `timeseries` and `registry` set, it arms the sim-time sampler.
+/// core::TaskPool forks that context per task and merges in task order,
+/// so the captured stream is independent of worker count.
 class Testbed {
  public:
   explicit Testbed(hw::MachineConfig machine_config = paper_machine_config(),

@@ -261,6 +261,9 @@ FleetResult run_fleet(const scenario::Scenario& scenario,
       static_cast<std::size_t>((result.hosts + kShardHosts - 1) / kShardHosts);
   result.registry = std::make_unique<obs::Registry>();
   register_fleet_instruments(*result.registry, spec);
+  if (config.inject_bug == FleetBug::kDroppedShard && result.shards > 1) {
+    result.registry->inject_dropped_merge_for_test();
+  }
   result.raw.resize(result.hosts);
   if (config.eventlog) {
     obs::EventLog::Config journal;
@@ -269,15 +272,6 @@ FleetResult run_fleet(const scenario::Scenario& scenario,
     if (config.inject_bug == FleetBug::kDroppedEventlogMerge) {
       result.event_log->inject_dropped_merge_for_test();
     }
-  }
-
-  // One registry per shard, merged in shard order below. Raw outcomes go
-  // into result.raw slots indexed by host. Both are shared-nothing, so
-  // worker count and completion order cannot reach the output.
-  std::vector<std::unique_ptr<obs::Registry>> shard_registries;
-  shard_registries.reserve(result.shards);
-  for (std::size_t i = 0; i < result.shards; ++i) {
-    shard_registries.push_back(std::make_unique<obs::Registry>());
   }
 
   // Time-resolved sampling rides LOGICAL shard checkpoints: each shard
@@ -311,16 +305,17 @@ FleetResult run_fleet(const scenario::Scenario& scenario,
           : nullptr;
 
   core::TaskPool pool(config.jobs);
-  // The parent journal rides the pool run as the ambient event log:
-  // TaskPool gives each shard its own sub-journal and merges them back
-  // in shard order, the same shared-nothing discipline as the
-  // registries.
+  // The parent registry and journal ride the pool run as ambient sinks:
+  // TaskPool forks one registry and one sub-journal per shard and merges
+  // them back in shard order. Raw outcomes go into result.raw slots
+  // indexed by host. All of it is shared-nothing, so worker count and
+  // completion order cannot reach the output.
+  obs::ScopedRegistry registry_scope(result.registry.get());
   obs::ScopedEventLog journal_scope(result.event_log.get());
   pool.run(
       result.shards,
       [&](std::size_t shard) {
-        obs::Registry& registry = *shard_registries[shard];
-        obs::ScopedRegistry scoped(&registry);
+        obs::Registry& registry = *obs::current();
         ShardInstruments instruments(registry);
         core::TestbedArena arena;
         const std::uint64_t first =
@@ -381,15 +376,6 @@ FleetResult run_fleet(const scenario::Scenario& scenario,
       },
       nullptr, "fleet-shard");
 
-  // Merge in shard order — with the seeded dropped-shard mutation
-  // silently skipping the last shard, which selfcheck() must catch.
-  std::size_t merge_count = result.shards;
-  if (config.inject_bug == FleetBug::kDroppedShard && merge_count > 1) {
-    --merge_count;
-  }
-  for (std::size_t i = 0; i < merge_count; ++i) {
-    result.registry->merge_from(*shard_registries[i]);
-  }
   // Timeseries sub-series fold in shard order too (the armed
   // dropped-merge mutation silently skips the first fold; selfcheck's
   // one-scrape-per-shard invariant catches it).

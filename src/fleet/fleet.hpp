@@ -48,7 +48,9 @@ enum class FleetBug {
   /// Summary percentiles report the bucket AFTER the one holding the
   /// requested rank.
   kPercentileOffByOne,
-  /// The last shard's registry is silently skipped during the merge.
+  /// The first shard's registry merge into the parent is silently
+  /// skipped (caught by selfcheck: the aggregates stop matching the raw
+  /// per-host outcomes).
   kDroppedShard,
   /// The first per-shard lifecycle sub-journal merge into the parent
   /// obs::EventLog is silently skipped (caught by the tails selfcheck:

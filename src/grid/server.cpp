@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "obs/profiler.hpp"
 #include "util/clock.hpp"
 #include "util/log.hpp"
 
@@ -18,13 +19,6 @@ ProjectServer::ProjectServer(std::uint16_t port) {
   tv.tv_usec = 50'000;
   ::setsockopt(listener_.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   running_.store(true);
-  if (parent_profiler_ != nullptr) {
-    serve_profiler_ = std::make_unique<obs::Profiler>();
-  }
-  if (parent_event_log_ != nullptr) {
-    serve_event_log_ =
-        std::make_unique<obs::EventLog>(parent_event_log_->config());
-  }
   thread_ = std::thread([this] { serve(); });
 }
 
@@ -34,18 +28,8 @@ void ProjectServer::stop() {
   if (!running_.exchange(false)) return;
   if (thread_.joinable()) thread_.join();
   listener_.close();
-  // The serve thread has joined; merging its profile tree into the
-  // constructing thread's profiler is now race-free.
-  if (parent_profiler_ != nullptr && serve_profiler_ != nullptr) {
-    parent_profiler_->merge_from(*serve_profiler_);
-    serve_profiler_.reset();
-  }
-  if (parent_event_log_ != nullptr && serve_event_log_ != nullptr) {
-    // vgrid-lint: allow(obs-eventlog-gateway): sanctioned merge seam —
-    // the serve thread's sub-log folds into the parent after the join.
-    parent_event_log_->merge_from(*serve_event_log_);
-    serve_event_log_.reset();
-  }
+  // The serve thread has joined; folding its sinks is now race-free.
+  serve_sinks_.merge();
 }
 
 WorkunitId ProjectServer::add_workunit(Workunit workunit) {
@@ -192,8 +176,7 @@ void ProjectServer::handle_connection(int fd) {
 }
 
 void ProjectServer::serve() {
-  obs::ScopedProfiler prof_guard(serve_profiler_.get());
-  obs::ScopedEventLog evt_guard(serve_event_log_.get());
+  const obs::ScopedContext scope = serve_sinks_.install(0);
   while (running_.load(std::memory_order_relaxed)) {
     const int conn = ::accept(listener_.get(), nullptr, nullptr);
     if (conn < 0) continue;  // timeout or transient error

@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -21,8 +20,7 @@
 #include "grid/server_logic.hpp"
 #include "grid/tcp_util.hpp"
 #include "grid/workunit.hpp"
-#include "obs/event_log.hpp"
-#include "obs/profiler.hpp"
+#include "obs/context.hpp"
 #include "obs/registry.hpp"
 
 namespace vgrid::grid {
@@ -122,19 +120,14 @@ class ProjectServer {
   // (completion wall-ns, service-ns) pairs, trimmed to kScrapeWindowMs.
   mutable std::mutex window_mutex_;
   std::deque<std::pair<std::int64_t, std::int64_t>> rpc_window_;
-  // Profiling: a Profiler is thread-confined, so the serve thread records
-  // into its own tree (created when the constructing thread had one
-  // installed) and stop() merges it into the parent after the join — the
-  // same task-ordered merge discipline core::TaskPool uses.
-  obs::Profiler* parent_profiler_ = obs::current_profiler();
-  std::unique_ptr<obs::Profiler> serve_profiler_;
-  // Lifecycle journal, same discipline: ServerLogic's EVT_* appends run on
-  // the serve thread, so they record into a serve-thread sub-log that
-  // stop() merges into the constructing thread's log after the join.
-  // vgrid-lint: allow(obs-eventlog-gateway): the transport shell is a
-  // sanctioned merge seam, like core::TaskPool.
-  obs::EventLog* parent_event_log_ = obs::current_event_log();
-  std::unique_ptr<obs::EventLog> serve_event_log_;
+  // The serve thread's sinks: a one-task fork of the constructing thread's
+  // profiler (thread-confined) and journal (ServerLogic's EVT_* appends run
+  // on the serve thread). stop() merges it after the join. Instruments are
+  // resolved above on the constructing thread and SCRAPE reads that
+  // registry live, so the fork carries no registry.
+  obs::FanOut serve_sinks_{obs::Context{.profiler = obs::context().profiler,
+                                        .event_log = obs::context().event_log},
+                           1};
 };
 
 }  // namespace vgrid::grid

@@ -9,8 +9,6 @@ namespace vgrid::obs {
 
 namespace {
 
-thread_local EventLog* t_current_event_log = nullptr;
-
 std::string parent_text(std::uint32_t parent) {
   if (parent == kNoParent) return "-";
   return util::format("%u", parent);
@@ -414,14 +412,6 @@ std::string EventLog::render_journal() const {
   for (const auto& [id, it] : closed_index_) render_trace(*it, "closed");
   for (const auto& [id, trace] : open_) render_trace(trace, "open");
   return out;
-}
-
-// ---- ambient current log ----------------------------------------------------
-
-EventLog* current_event_log() noexcept { return t_current_event_log; }
-
-void set_current_event_log(EventLog* log) noexcept {
-  t_current_event_log = log;
 }
 
 }  // namespace vgrid::obs

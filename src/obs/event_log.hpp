@@ -26,13 +26,14 @@
 //
 // Wiring follows the Registry/Profiler pattern exactly:
 //  - the CLI installs a log as the calling thread's CURRENT log
-//    (ScopedEventLog); when none is installed the EVT_* macros are one
-//    thread-local load + branch;
+//    (ScopedEventLog, one field of the ambient obs::Context); when none
+//    is installed the EVT_* macros are one thread-local load + branch;
 //  - instrumented code writes ONLY through the EVT_* macros (lint rule
 //    `obs-eventlog-gateway`), so the VGRID_EVENTLOG=OFF kill switch
 //    removes every instrumentation site at compile time
 //    (VGRID_EVENTLOG_FORCE_OFF does the same per TU);
-//  - core::TaskPool routes a fresh sub-log to each task and merges them
+//  - obs::FanOut (obs/context.hpp) — used by core::TaskPool and the
+//    grid serve thread — forks a fresh sub-log per task and merges them
 //    in task order, so journals are byte-identical for any --jobs value
 //    (enforced by `vgrid determinism-audit --eventlog`);
 //  - appends are transition-silent: they never call mc::notify and never
@@ -164,7 +165,7 @@ class EventLog {
   /// histograms and the wasted-work ledger, then apply retention.
   void close_trace(std::uint64_t trace_id);
 
-  // -- merge seam (core::TaskPool, shard/serve-thread merges) -----------------
+  // -- merge seam (obs::FanOut) ------------------------------------------------
 
   /// Fold `other` into this log in task order: aggregates add, closed
   /// traces replay through retention in their original close order, and
@@ -266,26 +267,6 @@ inline constexpr bool kEventLogCompiledIn = true;
 #else
 inline constexpr bool kEventLogCompiledIn = false;
 #endif
-
-// ---- ambient current log ----------------------------------------------------
-
-/// The calling thread's event log (nullptr when tracing is off).
-EventLog* current_event_log() noexcept;
-void set_current_event_log(EventLog* log) noexcept;
-
-/// RAII installer; restores the previous log on scope exit.
-class ScopedEventLog {
- public:
-  explicit ScopedEventLog(EventLog* log) : previous_(current_event_log()) {
-    set_current_event_log(log);
-  }
-  ~ScopedEventLog() { set_current_event_log(previous_); }
-  ScopedEventLog(const ScopedEventLog&) = delete;
-  ScopedEventLog& operator=(const ScopedEventLog&) = delete;
-
- private:
-  EventLog* previous_;
-};
 
 }  // namespace vgrid::obs
 

@@ -6,12 +6,6 @@
 
 namespace vgrid::obs {
 
-namespace detail {
-
-thread_local constinit Profiler* t_current_profiler = nullptr;
-
-}  // namespace detail
-
 Profiler::Profiler() {
   nodes_.push_back(Node{});  // synthetic root
   name_ptrs_.push_back("");
@@ -76,7 +70,7 @@ void Profiler::merge_from(const Profiler& other) {
     std::int32_t theirs;
     std::int32_t ours;
   };
-  std::vector<Pending> stack{{0, 0}};
+  std::vector<Pending> stack{{0, current_}};
   while (!stack.empty()) {
     const Pending top = stack.back();
     stack.pop_back();

@@ -16,12 +16,13 @@
 //    and a branch; when VGRID_PROFILE=OFF at configure time the macro
 //    compiles to nothing at all.
 //  - A Profiler is THREAD-CONFINED: it is installed as the calling
-//    thread's current profiler (ScopedProfiler) and only that thread may
-//    enter/leave scopes on it. Cross-thread aggregation goes through
-//    merge_from in a deterministic order: core::TaskPool routes a fresh
-//    sub-profiler to each task and merges in task order (exactly like the
-//    per-task metric sub-registries), and grid::ProjectServer gives its
-//    serve thread a private profiler merged into the parent at stop().
+//    thread's current profiler (ScopedProfiler, one field of the ambient
+//    obs::Context) and only that thread may enter/leave scopes on it.
+//    Cross-thread aggregation goes through obs::FanOut (obs/context.hpp):
+//    core::TaskPool forks a fresh sub-profiler per task and
+//    grid::ProjectServer one for its serve thread; the fan-out merges
+//    them in task order, grafting each task's tree under the scope the
+//    merging thread has open, so nested time is never double-counted.
 //  - Profiling must never perturb the simulation: scopes read only the
 //    sanctioned wall clock (util::monotonic_time_ns) and touch no sim
 //    state, so `vgrid determinism-audit --profile` stays byte-identical
@@ -37,6 +38,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/context.hpp"
 
 namespace vgrid::obs {
 
@@ -68,10 +71,11 @@ class Profiler {
   /// the profiler itself stays clock-free).
   void leave(std::int32_t index, std::int64_t elapsed_ns) noexcept;
 
-  /// Fold `other` into this tree: nodes are matched by path (parent chain
-  /// of names), counts and inclusive times add, unmatched paths are
-  /// created. Call in task order — the merged structure is then identical
-  /// regardless of which worker ran which task.
+  /// Fold `other` into this tree under the scope currently open — where
+  /// the other tree's time was actually spent: nodes are matched by path
+  /// (parent chain of names), counts and inclusive times add, unmatched
+  /// paths are created. Call in task order — the merged structure is then
+  /// identical regardless of which worker ran which task.
   void merge_from(const Profiler& other);
 
   /// Exclusive time of `index`: inclusive minus the children's inclusive.
@@ -98,41 +102,6 @@ class Profiler {
   // path (same index space as nodes_).
   std::vector<const char*> name_ptrs_;
   std::int32_t current_ = 0;
-};
-
-// ---- ambient current profiler ----------------------------------------------
-
-namespace detail {
-/// Defined in profiler.cpp; exposed here so the no-profiler fast path of
-/// ProfScope inlines to a thread-local load + branch at every call site
-/// instead of paying two cross-TU calls per scope. constinit so accesses
-/// hit the TLS slot directly instead of going through the init wrapper.
-extern thread_local constinit Profiler* t_current_profiler;
-}  // namespace detail
-
-/// The calling thread's profiler (nullptr when profiling is off). Like
-/// obs::current(): core::TaskPool points each worker at a per-task
-/// sub-profiler and merges in task order.
-inline Profiler* current_profiler() noexcept {
-  return detail::t_current_profiler;
-}
-inline void set_current_profiler(Profiler* profiler) noexcept {
-  detail::t_current_profiler = profiler;
-}
-
-/// RAII installer; restores the previous profiler on scope exit.
-class ScopedProfiler {
- public:
-  explicit ScopedProfiler(Profiler* profiler)
-      : previous_(current_profiler()) {
-    set_current_profiler(profiler);
-  }
-  ~ScopedProfiler() { set_current_profiler(previous_); }
-  ScopedProfiler(const ScopedProfiler&) = delete;
-  ScopedProfiler& operator=(const ScopedProfiler&) = delete;
-
- private:
-  Profiler* previous_;
 };
 
 /// RAII scope timer. `name` must outlive the profiler (string literals).

@@ -14,8 +14,6 @@ namespace vgrid::obs {
 
 namespace {
 
-thread_local Registry* t_current = nullptr;
-
 std::string labels_json(const Labels& labels) {
   std::string out = "{";
   bool first = true;
@@ -272,6 +270,13 @@ std::size_t Registry::instrument_count() const {
 }
 
 void Registry::merge_from(const Registry& other) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (drop_next_merge_) {
+      drop_next_merge_ = false;
+      return;
+    }
+  }
   // Take a consistent view of `other` first so we never hold both mutexes
   // (TaskPool only merges after the producing task has finished, but the
   // ordering discipline keeps this safe for any caller).
@@ -350,6 +355,11 @@ void Registry::merge_from(const Registry& other) {
     std::lock_guard<std::mutex> lock(mutex_);
     spans_.insert(spans_.end(), other_spans.begin(), other_spans.end());
   }
+}
+
+void Registry::inject_dropped_merge_for_test() noexcept {
+  std::lock_guard<std::mutex> lock(mutex_);
+  drop_next_merge_ = true;
 }
 
 std::string Registry::snapshot_json() const {
@@ -484,12 +494,6 @@ std::string Registry::snapshot_prometheus() const {
   }
   return out;
 }
-
-// ---- ambient current registry ----------------------------------------------
-
-Registry* current() noexcept { return t_current; }
-
-void set_current(Registry* registry) noexcept { t_current = registry; }
 
 // ---- ScopedSpan -------------------------------------------------------------
 

@@ -9,17 +9,17 @@
 // have fractional quantities scale them (nanoseconds, bytes, micro-units)
 // before recording.
 //
-// Wiring pattern (mirrors core::set_trace_capture):
+// Wiring pattern (the obs::Context contract, see obs/context.hpp):
 //  - the CLI / bench installs a Registry as the calling thread's *current*
 //    registry (ScopedRegistry);
 //  - instrumented components resolve their instruments ONCE, at
 //    construction, from obs::current() — when no registry is installed the
 //    pointers stay null and recording is a single branch, so experiments
 //    that don't ask for metrics pay nothing;
-//  - core::TaskPool routes a fresh sub-registry to each task and merges
-//    them in task order after the run, so snapshots are byte-identical for
-//    any --jobs value (enforced by `vgrid determinism-audit` and ctest
-//    `determinism.audit.fig5.metrics`).
+//  - core::TaskPool forks the context through obs::FanOut: a fresh
+//    sub-registry per task, merged in task order after the run, so
+//    snapshots are byte-identical for any --jobs value (enforced by
+//    `vgrid determinism-audit` and ctest `determinism.audit.fig5.metrics`).
 //
 // Instruments are thread-aware: updates are relaxed atomics, so the
 // multi-threaded subsystems (grid TCP server/client) can share one
@@ -40,6 +40,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/context.hpp"
 
 namespace vgrid::obs {
 
@@ -189,6 +191,11 @@ class Registry {
   /// then makes the result identical to serial accumulation.
   void merge_from(const Registry& other);
 
+  /// Arm the seeded dropped-merge mutation: the next merge_from() call is
+  /// silently skipped. Only the fleet.finds.dropped_shard fixture uses
+  /// this — it proves the fleet selfcheck notices a lost shard.
+  void inject_dropped_merge_for_test() noexcept;
+
   /// Canonical snapshot: versioned JSON, one instrument per line, sorted
   /// by (name, labels). Byte-identical across --jobs values for a
   /// deterministic workload. Spans are excluded (wall time).
@@ -224,15 +231,12 @@ class Registry {
   mutable std::mutex mutex_;
   std::map<Key, Entry> instruments_;
   std::vector<SpanRecord> spans_;
+  bool drop_next_merge_ = false;
 };
 
 // ---- ambient current registry ----------------------------------------------
-
-/// The calling thread's registry (nullptr when metrics are off). Like
-/// core::set_trace_capture, this is thread-local: core::TaskPool points
-/// each worker at a per-task sub-registry and merges in task order.
-Registry* current() noexcept;
-void set_current(Registry* registry) noexcept;
+// obs::current() (the calling thread's registry, nullptr when metrics are
+// off) and ScopedRegistry live in obs/context.hpp with the other sinks.
 
 /// Resolve an instrument from the current registry, or nullptr when
 /// metrics are off. Components call these ONCE at construction and keep
@@ -254,21 +258,6 @@ inline Histogram* maybe_histogram(const std::string& name,
   return registry ? &registry->histogram(name, std::move(bounds), labels)
                   : nullptr;
 }
-
-/// RAII installer; restores the previous registry on scope exit.
-class ScopedRegistry {
- public:
-  explicit ScopedRegistry(Registry* registry)
-      : previous_(current()) {
-    set_current(registry);
-  }
-  ~ScopedRegistry() { set_current(previous_); }
-  ScopedRegistry(const ScopedRegistry&) = delete;
-  ScopedRegistry& operator=(const ScopedRegistry&) = delete;
-
- private:
-  Registry* previous_;
-};
 
 /// RAII profiling span recorded into the registry current AT CONSTRUCTION.
 /// `sim_clock` (optional) is sampled at both ends so the span carries sim

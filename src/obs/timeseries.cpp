@@ -9,8 +9,6 @@ namespace vgrid::obs {
 
 namespace {
 
-thread_local Timeseries* t_current_timeseries = nullptr;
-
 std::string labels_json(const Labels& labels) {
   std::string out = "{";
   bool first = true;
@@ -232,14 +230,6 @@ std::string Timeseries::render_json() const {
   }
   out += "\n]\n}\n";
   return out;
-}
-
-// ---- ambient current sampler ------------------------------------------------
-
-Timeseries* current_timeseries() noexcept { return t_current_timeseries; }
-
-void set_current_timeseries(Timeseries* series) noexcept {
-  t_current_timeseries = series;
 }
 
 }  // namespace vgrid::obs

@@ -18,9 +18,10 @@
 //    detection or keep the event queue alive after the workload is done;
 //  - fleet runs: fleet::run_fleet samples at logical shard checkpoints
 //    (one scrape per completed shard, t = shard index × interval);
-//  - core::TaskPool routes a fresh sub-Timeseries to each task and merges
-//    them in task order, so the rendered series is byte-identical for any
-//    --jobs value (enforced by `vgrid determinism-audit --timeseries`);
+//  - core::TaskPool forks the ambient obs::Context through obs::FanOut: a
+//    fresh sub-Timeseries per task, merged in task order, so the rendered
+//    series is byte-identical for any --jobs value (enforced by
+//    `vgrid determinism-audit --timeseries`);
 //  - all timestamps are logical (sim ms / checkpoint index) — never wall
 //    clock — which is what makes the byte-identity contract possible.
 //
@@ -164,27 +165,9 @@ class Timeseries {
   bool drop_next_merge_ = false;
 };
 
-// ---- ambient current sampler ------------------------------------------------
-
-/// The calling thread's sampler (nullptr when time-resolved sampling is
-/// off — the default; only `vgrid timeseries`, `vgrid watch` and
-/// `determinism-audit --timeseries` install one).
-Timeseries* current_timeseries() noexcept;
-void set_current_timeseries(Timeseries* series) noexcept;
-
-/// RAII installer; restores the previous sampler on scope exit.
-class ScopedTimeseries {
- public:
-  explicit ScopedTimeseries(Timeseries* series)
-      : previous_(current_timeseries()) {
-    set_current_timeseries(series);
-  }
-  ~ScopedTimeseries() { set_current_timeseries(previous_); }
-  ScopedTimeseries(const ScopedTimeseries&) = delete;
-  ScopedTimeseries& operator=(const ScopedTimeseries&) = delete;
-
- private:
-  Timeseries* previous_;
-};
+// The calling thread's sampler, current_timeseries(), is one field of the
+// ambient obs::Context (obs/context.hpp): nullptr by default; only
+// `vgrid timeseries`, `vgrid watch` and `determinism-audit --timeseries`
+// install one (ScopedTimeseries).
 
 }  // namespace vgrid::obs

@@ -16,6 +16,7 @@
 #include "core/host_impact.hpp"
 #include "core/runner.hpp"
 #include "core/testbed.hpp"
+#include "obs/context.hpp"
 #include "sim/event_queue.hpp"
 #include "util/audit.hpp"
 #include "util/error.hpp"
@@ -133,15 +134,17 @@ core::RunnerConfig tiny_runner() {
 
 std::string captured_guest_perf_trace() {
   std::string sink;
-  core::set_trace_capture(&sink);
-  core::GuestPerfExperiment experiment(
-      [] {
-        return workloads::SevenZipBench(workloads::Bench7zConfig{})
-            .make_program();
-      },
-      tiny_runner());
-  const double slowdown = experiment.slowdown(vmm::profiles::vmplayer());
-  core::set_trace_capture(nullptr);
+  double slowdown = 0.0;
+  {
+    const obs::ScopedTraceCapture capture(&sink);
+    core::GuestPerfExperiment experiment(
+        [] {
+          return workloads::SevenZipBench(workloads::Bench7zConfig{})
+              .make_program();
+        },
+        tiny_runner());
+    slowdown = experiment.slowdown(vmm::profiles::vmplayer());
+  }
   EXPECT_GT(slowdown, 1.0);
   EXPECT_FALSE(sink.empty());
   return sink;
@@ -162,13 +165,15 @@ TEST(SameSeedTrace, GuestPerfRunsAreByteIdentical) {
 
 std::string captured_host_impact_trace() {
   std::string sink;
-  core::set_trace_capture(&sink);
-  core::HostImpactConfig config;
-  config.runner = tiny_runner();
-  core::HostImpactExperiment experiment(config);
-  const vmm::VmmProfile profile = vmm::profiles::vmplayer();
-  const auto metrics = experiment.run_7z(2, &profile);
-  core::set_trace_capture(nullptr);
+  core::SevenZipHostMetrics metrics;
+  {
+    const obs::ScopedTraceCapture capture(&sink);
+    core::HostImpactConfig config;
+    config.runner = tiny_runner();
+    core::HostImpactExperiment experiment(config);
+    const vmm::VmmProfile profile = vmm::profiles::vmplayer();
+    metrics = experiment.run_7z(2, &profile);
+  }
   EXPECT_GT(metrics.cpu_percent, 0.0);
   EXPECT_FALSE(sink.empty());
   return sink;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "util/error.hpp"
 #include "workloads/nbench/kernels.hpp"
 #include "workloads/nbench/suite.hpp"
@@ -16,6 +18,12 @@ struct NamedKernel {
   const char* name;
   Runner runner;
 };
+
+// gtest's default printer dumps the struct's raw bytes — pointers that ASLR
+// moves on every run — into the discovered ctest names; print the name.
+void PrintTo(const NamedKernel& kernel, std::ostream* os) {
+  *os << kernel.name;
+}
 
 const NamedKernel kKernels[] = {
     {"numeric_sort", run_numeric_sort}, {"string_sort", run_string_sort},

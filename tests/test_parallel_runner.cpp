@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,6 +20,11 @@
 #include "core/runner.hpp"
 #include "core/task_pool.hpp"
 #include "core/testbed.hpp"
+#include "obs/context.hpp"
+#include "obs/event_log.hpp"
+#include "obs/profiler.hpp"
+#include "obs/registry.hpp"
+#include "obs/timeseries.hpp"
 #include "report/chrome_trace.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -142,6 +148,10 @@ struct FigureCase {
   core::FigureResult (*fn)(core::RunnerConfig);
 };
 
+// Print the id, not gtest's raw-byte dump of ASLR-randomised pointers, so the
+// discovered ctest names are stable.
+void PrintTo(const FigureCase& figure, std::ostream* os) { *os << figure.id; }
+
 constexpr FigureCase kFigures[] = {
     {"fig1", core::fig1_7z},            {"fig2", core::fig2_matrix},
     {"fig3", core::fig3_iobench},       {"fig4", core::fig4_netbench},
@@ -154,9 +164,11 @@ constexpr FigureCase kFigures[] = {
 std::string figure_digest(const FigureCase& figure,
                           const core::RunnerConfig& runner) {
   std::string stream;
-  core::set_trace_capture(&stream);
-  const core::FigureResult result = figure.fn(runner);
-  core::set_trace_capture(nullptr);
+  core::FigureResult result;
+  {
+    const obs::ScopedTraceCapture capture(&stream);
+    result = figure.fn(runner);
+  }
   for (const auto& row : result.rows) {
     stream += util::format("%s=%a\n", row.label.c_str(), row.measured);
   }
@@ -220,16 +232,17 @@ TEST(ParallelRunner, CancellationMidRunThrowsAndLeavesRunnerUsable) {
 
 TEST(TaskPool, CancelledRunAppendsNothingToTraceCapture) {
   std::string stream;
-  core::set_trace_capture(&stream);
-  core::TaskPool pool(2);
-  std::atomic<bool> cancel{true};  // torn down before any task starts
-  EXPECT_THROW(pool.run(16,
-                        [](std::size_t) {
-                          core::trace_capture()->append("leaked\n");
-                        },
-                        &cancel),
-               util::SimulationError);
-  core::set_trace_capture(nullptr);
+  {
+    const obs::ScopedTraceCapture capture(&stream);
+    core::TaskPool pool(2);
+    std::atomic<bool> cancel{true};  // torn down before any task starts
+    EXPECT_THROW(pool.run(16,
+                          [](std::size_t) {
+                            obs::context().trace_capture->append("leaked\n");
+                          },
+                          &cancel),
+                 util::SimulationError);
+  }
   EXPECT_TRUE(stream.empty()) << stream;
 }
 
@@ -267,6 +280,84 @@ TEST(TaskPool, PublishesOneSpanPerTaskToTopLevelSink) {
   const std::string json = report::worker_trace_json(spans);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("experiment-pool"), std::string::npos);
+}
+
+// ---- observability fan-out --------------------------------------------------
+
+/// One pooled task's writes: a record into each of the five ambient sinks.
+void write_every_sink(std::uint64_t id) {
+  PROF_SCOPE("fanout.task");
+  const obs::Context sinks = obs::context();
+  sinks.registry->counter("fanout.calls").add();
+  sinks.registry->gauge("fanout.last", {}, obs::Gauge::Agg::kLast)
+      .set(static_cast<std::int64_t>(id));
+  const auto t = static_cast<std::int64_t>(id);
+  sinks.event_log->open_trace(id, t, "fanout");
+  sinks.event_log->append_event(id, obs::EventKind::kCreated, t);
+  sinks.event_log->close_trace(id);
+  sinks.timeseries->sample(*sinks.registry, t);
+  sinks.trace_capture->append(
+      util::format("task %llu\n", static_cast<unsigned long long>(id)));
+}
+
+/// Every sink of a pooled run (with a nested pool per task), rendered.
+std::vector<std::string> pooled_sinks(int jobs) {
+  obs::Registry registry;
+  obs::Profiler profiler;
+  obs::EventLog journal;
+  obs::Timeseries series;
+  std::string trace;
+  {
+    const obs::ScopedContext scope(
+        obs::Context{&registry, &profiler, &journal, &series, &trace});
+    core::TaskPool pool(jobs);
+    pool.run(12, [jobs](std::size_t i) {
+      write_every_sink(i + 1);
+      core::TaskPool nested(jobs);
+      nested.run(3, [i](std::size_t j) { write_every_sink(100 + 10 * i + j); });
+    });
+  }
+  std::string profile;
+  for (const obs::Profiler::Node& node : profiler.nodes()) {
+    profile += util::format("%s<%d x%llu\n", node.name.c_str(), node.parent,
+                            static_cast<unsigned long long>(node.count));
+  }
+  return {registry.snapshot_json(), journal.render_journal(),
+          series.render_json(), profile, trace};
+}
+
+TEST(TaskPool, FanOutMergesEverySinkInTaskOrderOrNotAtAll) {
+  const std::vector<std::string> serial = pooled_sinks(1);
+  EXPECT_NE(serial[0].find("\"fanout.calls\""), std::string::npos);
+  EXPECT_NE(serial[4].find("task 100\ntask 101\ntask 102\ntask 2\n"),
+            std::string::npos)
+      << "nested tasks must merge into their parent task's slot in order";
+  EXPECT_EQ(pooled_sinks(8), serial);
+
+  // A failed run restores the caller's whole context and merges nothing.
+  for (const int jobs : {1, 8}) {
+    obs::Registry registry;
+    obs::Profiler profiler;
+    obs::EventLog journal;
+    obs::Timeseries series;
+    std::string trace;
+    const obs::Context parent{&registry, &profiler, &journal, &series,
+                              &trace};
+    const obs::ScopedContext scope(parent);
+    core::TaskPool pool(jobs);
+    EXPECT_THROW(pool.run(8,
+                          [](std::size_t i) {
+                            write_every_sink(i + 1);
+                            if (i == 5) throw util::SimulationError("boom");
+                          }),
+                 util::SimulationError);
+    EXPECT_TRUE(obs::context() == parent) << "jobs " << jobs;
+    EXPECT_EQ(registry.instrument_count(), 0u);
+    EXPECT_TRUE(profiler.empty());
+    EXPECT_EQ(journal.traces_opened(), 0u);
+    EXPECT_EQ(series.samples_taken(), 0u);
+    EXPECT_TRUE(trace.empty()) << trace;
+  }
 }
 
 }  // namespace

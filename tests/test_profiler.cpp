@@ -14,6 +14,7 @@
 #include "core/task_pool.hpp"
 #include "obs/profiler.hpp"
 #include "report/profile_export.hpp"
+#include "util/clock.hpp"
 
 // Defined in test_profiler_forceoff.cpp, which is compiled with
 // VGRID_PROFILE_FORCE_OFF: its PROF_SCOPE must expand to nothing even
@@ -176,6 +177,39 @@ TEST(Profiler, TaskPoolMergeStructureIsIdenticalAcrossJobCounts) {
                            "pool.task", 24u)));
   EXPECT_EQ(serial[2], (std::pair<std::string, std::uint64_t>(
                            "pool.third", 8u)));
+}
+
+/// The graft contract: a TaskPool run inside an open scope merges each
+/// task's tree UNDER that scope, so nested time is counted once and the
+/// profile sums to the wall time actually spent.
+TEST(Profiler, TaskPoolTreesGraftUnderTheOpenScope) {
+  Profiler profiler;
+  {
+    ScopedProfiler install(&profiler);
+    PROF_SCOPE("outer");
+    core::TaskPool pool(1);
+    pool.run(4, [](std::size_t) {
+      PROF_SCOPE("pool.task");
+      const std::int64_t until = util::monotonic_time_ns() + 200'000;
+      while (util::monotonic_time_ns() < until) {
+      }
+    });
+  }
+  const std::vector<Profiler::Node>& nodes = profiler.nodes();
+  ASSERT_EQ(nodes[0].children.size(), 1u) << "task trees leaked to the root";
+  const Profiler::Node& outer = nodes[nodes[0].children[0]];
+  EXPECT_EQ(outer.name, "outer");
+  ASSERT_EQ(outer.children.size(), 1u);
+  const Profiler::Node& task = nodes[outer.children[0]];
+  EXPECT_EQ(task.name, "pool.task");
+  EXPECT_EQ(task.count, 4u);
+  std::int64_t children_ns = 0;
+  for (const std::int32_t child : outer.children) {
+    children_ns += nodes[child].inclusive_ns;
+  }
+  EXPECT_GE(task.inclusive_ns, 4 * 200'000);
+  EXPECT_GE(outer.inclusive_ns, children_ns);
+  EXPECT_EQ(profiler.total_ns(), outer.inclusive_ns);
 }
 
 // ---- exporters ---------------------------------------------------------------

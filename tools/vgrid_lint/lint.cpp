@@ -232,9 +232,10 @@ bool obs_stdio_scope(const std::string& path) {
 /// through the EVT_* macros so the VGRID_EVENTLOG kill switch (and the
 /// per-TU VGRID_EVENTLOG_FORCE_OFF override) can compile every site out.
 /// Direct open_trace/append_event/close_trace calls would survive the
-/// switch and skew the disabled-mode fast path. The sanctioned merge
-/// seams (core::TaskPool, the grid transport shell) carry explicit
-/// allow() suppressions with reasons.
+/// switch and skew the disabled-mode fast path. Cross-thread sub-logs
+/// fork and merge only through obs::FanOut (src/obs/context.*), the one
+/// merge seam, which lives inside the exempt layer — so no caller outside
+/// src/obs needs an allow().
 bool eventlog_gateway_scope(const std::string& path) {
   if (!starts_with(path, "src/")) return false;
   return !starts_with(path, "src/obs/");
@@ -750,8 +751,8 @@ std::vector<Diagnostic> lint_file(const std::string& path,
           {path, line_no, "obs-eventlog-gateway",
            "direct journal write bypasses the VGRID_EVENTLOG kill switch; "
            "go through the EVT_TRACE_OPEN/EVT_APPEND/EVT_TRACE_CLOSE "
-           "macros (core::TaskPool and the transport shell are the "
-           "sanctioned merge seams)"});
+           "macros, and fork/merge sub-logs only through obs::FanOut "
+           "(src/obs/context.hpp, the one merge seam)"});
     }
     if (timeseries_scope && std::regex_search(code, kTimeseriesRaw) &&
         !suppressed(sup, line_no, "obs-timeseries-gateway")) {

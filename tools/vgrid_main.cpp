@@ -1249,6 +1249,19 @@ bool streams_identical(const std::string& id, const std::string& first,
   return false;
 }
 
+/// An audited byte stream built from named sections, so the PASS line
+/// names every section it compared with its size.
+struct AuditStream {
+  std::string bytes;
+  std::string sections;
+
+  void add(const char* name, const std::string& text) {
+    bytes += text;
+    sections += util::format("%s%s %zu B", sections.empty() ? "" : ", ",
+                             name, text.size());
+  }
+};
+
 int audit_fleet(const Args& args) {
   const scenario::Scenario scenario =
       scenario::load(args.get_or("scenario", "fleet-small"));
@@ -1269,33 +1282,34 @@ int audit_fleet(const Args& args) {
     run.jobs = jobs_value;
     const fleet::FleetResult result = fleet::run_fleet(scenario, run);
     record_scenario_info(*result.registry, scenario);
-    std::string stream = fleet::format_summary(scenario, result);
-    stream += "=== metrics ===\n";
-    stream += result.registry->snapshot_json();
+    AuditStream stream;
+    stream.add("summary", fleet::format_summary(scenario, result));
+    stream.add("metrics",
+               "=== metrics ===\n" + result.registry->snapshot_json());
     if (eventlog && result.event_log != nullptr) {
-      stream += "=== eventlog ===\n";
-      stream += result.event_log->render_journal();
-      stream += "=== tails ===\n";
-      stream += report::format_tails(*result.event_log);
+      stream.add("eventlog", "=== eventlog ===\n" +
+                                 result.event_log->render_journal());
+      stream.add("tails", "=== tails ===\n" +
+                              report::format_tails(*result.event_log));
     }
     if (timeseries && result.timeseries != nullptr) {
-      stream += "=== timeseries ===\n";
-      stream += result.timeseries->render_json();
+      stream.add("timeseries", "=== timeseries ===\n" +
+                                   result.timeseries->render_json());
     }
     return stream;
   };
-  const std::string first = run_once(1);
-  const std::string second = run_once(jobs);
-  if (!streams_identical("fleet", first, second, jobs)) return 1;
+  const AuditStream first = run_once(1);
+  const AuditStream second = run_once(jobs);
+  if (!streams_identical("fleet", first.bytes, second.bytes, jobs)) return 1;
   std::printf(
-      "determinism-audit PASS: fleet [scenario %s %s] summary + metrics "
-      "byte-identical (%zu bytes, serial vs %d jobs)\n",
-      scenario.name.c_str(), scenario.hash_hex().c_str(), first.size(),
-      jobs);
+      "determinism-audit PASS: fleet [scenario %s %s] byte-identical "
+      "(%s; %zu bytes, serial vs %d jobs)\n",
+      scenario.name.c_str(), scenario.hash_hex().c_str(),
+      first.sections.c_str(), first.bytes.size(), jobs);
   return 0;
 }
 
-std::string run_captured(ScenarioFigureFn fn,
+AuditStream run_captured(ScenarioFigureFn fn,
                          const scenario::Scenario& scenario,
                          const core::RunnerConfig& runner,
                          bool metrics_only, bool eventlog,
@@ -1306,8 +1320,9 @@ std::string run_captured(ScenarioFigureFn fn,
   // alone (no trace capture, no result rows) for a cheap focused gate.
   // The scenario header pins the testbed's identity, so streams from two
   // different scenarios can never byte-match by accident.
-  std::string stream =
-      "=== scenario " + scenario.name + " " + scenario.hash_hex() + " ===\n";
+  AuditStream stream;
+  stream.add("scenario", "=== scenario " + scenario.name + " " +
+                             scenario.hash_hex() + " ===\n");
   obs::Registry registry;
   obs::register_defaults(registry);
   record_scenario_info(registry, scenario);
@@ -1320,35 +1335,34 @@ std::string run_captured(ScenarioFigureFn fn,
   // builds; the rendered series joins the byte-diffed stream, proving
   // the per-task sub-series merge is worker-count independent.
   obs::Timeseries series;
+  std::string trace;
+  core::FigureResult figure;
   {
     obs::ScopedRegistry metrics_scope(&registry);
     obs::ScopedEventLog journal_scope(eventlog ? &journal : nullptr);
     obs::ScopedTimeseries series_scope(timeseries ? &series : nullptr);
-    if (!metrics_only) core::set_trace_capture(&stream);
-    const core::FigureResult figure = fn(scenario, runner);
-    if (!metrics_only) {
-      core::set_trace_capture(nullptr);
-      stream += "=== figure " + figure.id + ": " + figure.title + " [" +
-                figure.unit + "] ===\n";
-      for (const auto& row : figure.rows) {
-        // %a: hex floats — every mantissa bit survives the round-trip, so a
-        // one-ulp divergence between the runs is a diff, not a rounding
-        // blur.
-        stream += util::format("%s measured=%a paper=%a\n",
-                               row.label.c_str(), row.measured,
-                               row.paper.value_or(-1.0));
-      }
-    }
+    obs::ScopedTraceCapture trace_scope(metrics_only ? nullptr : &trace);
+    figure = fn(scenario, runner);
   }
-  stream += "=== metrics ===\n";
-  stream += registry.snapshot_json();
+  if (!metrics_only) {
+    stream.add("trace", trace);
+    std::string rows = "=== figure " + figure.id + ": " + figure.title +
+                       " [" + figure.unit + "] ===\n";
+    for (const auto& row : figure.rows) {
+      // %a: hex floats — every mantissa bit survives the round-trip, so a
+      // one-ulp divergence between the runs is a diff, not a rounding
+      // blur.
+      rows += util::format("%s measured=%a paper=%a\n", row.label.c_str(),
+                           row.measured, row.paper.value_or(-1.0));
+    }
+    stream.add("figure", rows);
+  }
+  stream.add("metrics", "=== metrics ===\n" + registry.snapshot_json());
   if (eventlog) {
-    stream += "=== eventlog ===\n";
-    stream += journal.render_journal();
+    stream.add("eventlog", "=== eventlog ===\n" + journal.render_journal());
   }
   if (timeseries) {
-    stream += "=== timeseries ===\n";
-    stream += series.render_json();
+    stream.add("timeseries", "=== timeseries ===\n" + series.render_json());
   }
   return stream;
 }
@@ -1389,21 +1403,21 @@ int cmd_determinism_audit(const Args& args) {
   obs::ScopedProfiler prof_scope(profile ? &profiler : nullptr);
 
   runner.jobs = 1;
-  const std::string first =
+  const AuditStream first =
       run_captured(fn, scenario, runner, metrics_only, eventlog, timeseries);
   runner.jobs = jobs;
-  const std::string second =
+  const AuditStream second =
       run_captured(fn, scenario, runner, metrics_only, eventlog, timeseries);
-  if (!streams_identical(id, first, second, jobs)) return 1;
+  if (!streams_identical(id, first.bytes, second.bytes, jobs)) return 1;
   std::printf(
       "determinism-audit PASS: %s [scenario %s %s] %sbyte-identical "
-      "across two seed=%llu runs (%zu bytes, %d repetitions, serial vs "
-      "%d jobs%s)\n",
+      "across two seed=%llu runs (%s; %zu bytes, %d repetitions, serial "
+      "vs %d jobs%s)\n",
       id.c_str(), scenario.name.c_str(), scenario.hash_hex().c_str(),
       metrics_only ? "metric snapshots " : "",
-      static_cast<unsigned long long>(runner.seed), first.size(),
-      runner.repetitions, jobs,
-      profile ? ", profiling on" : "");
+      static_cast<unsigned long long>(runner.seed),
+      first.sections.c_str(), first.bytes.size(), runner.repetitions,
+      jobs, profile ? ", profiling on" : "");
   return 0;
 }
 
