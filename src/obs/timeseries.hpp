@@ -136,7 +136,7 @@ class Timeseries {
   /// Canonical byte-stable export: versioned JSON, one series per line,
   /// sorted by (name, labels, track); points in append (task) order. The
   /// determinism audit byte-compares this across --jobs values, and
-  /// tools/timeseries_diff parses it line-wise.
+  /// tools/timeseries_diff parses it as one JSON document.
   std::string render_json() const;
 
  private:

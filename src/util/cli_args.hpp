@@ -2,10 +2,15 @@
 // Minimal flag parser for the vgrid CLI: positionals plus --flag[=value] /
 // --flag value pairs. No external dependencies.
 
+#include <charconv>
+#include <cmath>
 #include <map>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include "util/error.hpp"
 
 namespace vgrid::util {
 
@@ -52,27 +57,40 @@ class Args {
     return get(flag).value_or(fallback);
   }
 
+  /// `fallback` when the flag is absent. A present value must parse in
+  /// full ("100k" is not 100): anything else throws ConfigError.
   long get_long(const std::string& flag, long fallback) const {
-    const auto value = get(flag);
-    if (!value || value->empty()) return fallback;
-    try {
-      return std::stol(*value);
-    } catch (const std::exception&) {
-      return fallback;
-    }
+    return get_number(flag, fallback, "an integer");
   }
 
+  /// As get_long, for a finite decimal number.
   double get_double(const std::string& flag, double fallback) const {
-    const auto value = get(flag);
-    if (!value || value->empty()) return fallback;
-    try {
-      return std::stod(*value);
-    } catch (const std::exception&) {
-      return fallback;
-    }
+    const double value = get_number(flag, fallback, "a number");
+    if (!std::isfinite(value)) reject(flag, "a finite number");
+    return value;
   }
 
  private:
+  template <typename T>
+  T get_number(const std::string& flag, T fallback,
+               const char* expected) const {
+    const auto value = get(flag);
+    if (!value) return fallback;
+    T parsed{};
+    const char* last = value->data() + value->size();
+    const auto [end, error] = std::from_chars(value->data(), last, parsed);
+    if (value->empty() || error != std::errc() || end != last) {
+      reject(flag, expected);
+    }
+    return parsed;
+  }
+
+  [[noreturn]] void reject(const std::string& flag,
+                           const char* expected) const {
+    throw ConfigError("--" + flag + " expects " + expected + ", got '" +
+                      get_or(flag, "") + "'");
+  }
+
   std::vector<std::string> positional_;
   std::map<std::string, std::string> flags_;
 };

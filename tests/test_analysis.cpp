@@ -1,5 +1,5 @@
-// Tests for the analysis additions: Mann-Whitney U, WorkloadMeter, and
-// the trace timeline report.
+// Tests for the analysis additions: WorkloadMeter and the trace timeline
+// report.
 
 #include <gtest/gtest.h>
 
@@ -9,75 +9,11 @@
 
 #include "report/chrome_trace.hpp"
 #include "report/timeline.hpp"
-#include "stats/mann_whitney.hpp"
-#include "util/error.hpp"
-#include "util/rng.hpp"
 #include "workloads/matrix.hpp"
 #include "workloads/meter.hpp"
 
 namespace vgrid {
 namespace {
-
-// ---- Mann-Whitney U ---------------------------------------------------------
-
-TEST(MannWhitney, IdenticalSamplesNotSignificant) {
-  const std::vector<double> a{1, 2, 3, 4, 5, 6, 7, 8};
-  const auto result = stats::mann_whitney_u(a, a);
-  EXPECT_GT(result.p_value_two_sided, 0.9);
-  EXPECT_NEAR(result.effect_size, 0.0, 1e-9);
-}
-
-TEST(MannWhitney, DisjointSamplesHighlySignificant) {
-  std::vector<double> low, high;
-  for (int i = 0; i < 30; ++i) {
-    low.push_back(1.0 + i * 0.01);
-    high.push_back(10.0 + i * 0.01);
-  }
-  const auto result = stats::mann_whitney_u(low, high);
-  EXPECT_LT(result.p_value_two_sided, 1e-6);
-  EXPECT_NEAR(result.effect_size, -1.0, 1e-9);  // first sample all smaller
-  EXPECT_TRUE(stats::significantly_different(low, high));
-}
-
-TEST(MannWhitney, DetectsModerateShiftAtN50) {
-  // The paper's methodology: 50 reps per environment. A 10% shift with 3%
-  // noise must be detected.
-  util::Xoshiro256 rng(11);
-  std::vector<double> native, guest;
-  for (int i = 0; i < 50; ++i) {
-    native.push_back(rng.normal(1.00, 0.03));
-    guest.push_back(rng.normal(1.10, 0.03));
-  }
-  EXPECT_TRUE(stats::significantly_different(native, guest, 0.01));
-}
-
-TEST(MannWhitney, NoFalsePositiveOnSameDistribution) {
-  util::Xoshiro256 rng(13);
-  int positives = 0;
-  for (int trial = 0; trial < 100; ++trial) {
-    std::vector<double> a, b;
-    for (int i = 0; i < 50; ++i) {
-      a.push_back(rng.normal(5.0, 1.0));
-      b.push_back(rng.normal(5.0, 1.0));
-    }
-    if (stats::significantly_different(a, b, 0.05)) ++positives;
-  }
-  EXPECT_LT(positives, 15);  // ~5% expected
-}
-
-TEST(MannWhitney, HandlesTies) {
-  const std::vector<double> a{1, 1, 1, 2, 2};
-  const std::vector<double> b{1, 2, 2, 2, 3};
-  const auto result = stats::mann_whitney_u(a, b);
-  EXPECT_GE(result.p_value_two_sided, 0.0);
-  EXPECT_LE(result.p_value_two_sided, 1.0);
-}
-
-TEST(MannWhitney, RejectsEmptySamples) {
-  const std::vector<double> a{1.0};
-  EXPECT_THROW(stats::mann_whitney_u(a, {}), util::ConfigError);
-  EXPECT_THROW(stats::mann_whitney_u({}, a), util::ConfigError);
-}
 
 // ---- WorkloadMeter ----------------------------------------------------------
 

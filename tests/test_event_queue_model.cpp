@@ -1,11 +1,12 @@
 // Randomized model-equivalence suite for sim::EventQueue.
 //
-// The indexed-heap queue is checked against the dumbest possible reference
-// model: a sorted-on-demand vector of (time, insertion-seq) records with
-// eager cancellation. The model is obviously correct — its pop is "scan for
-// the minimum (time, seq) pair" — so any divergence in the (time, id) pop
-// sequence is a bug in the heap's sift/lazy-cancel machinery, not
-// in the test. Each run drives ~a million mixed operations (push, cancel,
+// The indexed-heap queue is checked against an obviously correct reference
+// model: an ordered map keyed by (time, insertion-seq) with eager
+// cancellation through an id -> key index. Its pop is "take the smallest
+// (time, seq) key", so any divergence in the (time, id) pop sequence is a
+// bug in the heap's sift/lazy-cancel machinery, not in the test. Every
+// model operation is logarithmic, so the million-op campaign stays fast.
+// Each run drives ~a million mixed operations (push, cancel,
 // pop, bulk insert, storage recycle) from several seeds, covering the
 // regimes the simulator produces: bursty near-future pushes, heavy
 // cancellation (quantum re-arms), drain-to-empty, and arena reuse across
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -25,61 +27,53 @@
 namespace vgrid::sim {
 namespace {
 
-// Reference model: eager, linear, trivially correct.
+// The test_event_queue_model_lifo build defines this to flip the model's
+// tie-break to LIFO: that build must fail, proving the model still catches
+// a pop-order divergence among same-time events.
+#ifdef VGRID_MODEL_LIFO_TIE_BREAK
+constexpr std::int64_t kTieBreakSign = -1;
+#else
+constexpr std::int64_t kTieBreakSign = 1;
+#endif
+
+// Reference model: eager, ordered, trivially correct.
 class ModelQueue {
  public:
   EventId push(SimTime when, EventId id) {
-    pending_.push_back(Pending{when, next_seq_++, id});
+    const Key key{when, kTieBreakSign * next_seq_++};
+    pending_.emplace(key, id);
+    index_.emplace(id, key);
     return id;
   }
 
   bool cancel(EventId id) {
-    const auto it =
-        std::find_if(pending_.begin(), pending_.end(),
-                     [id](const Pending& p) { return p.id == id; });
-    if (it == pending_.end()) return false;
-    pending_.erase(it);  // eager: the model never holds cancelled entries
+    const auto it = index_.find(id);
+    if (it == index_.end()) return false;
+    pending_.erase(it->second);  // eager: never holds cancelled entries
+    index_.erase(it);
     return true;
   }
 
   bool empty() const { return pending_.empty(); }
   std::size_t size() const { return pending_.size(); }
 
-  /// Pop the earliest (time, insertion-seq) entry — a linear scan.
+  /// Pop the earliest (time, insertion-seq) entry.
   std::pair<SimTime, EventId> pop() {
-    auto best = pending_.begin();
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (it->time < best->time ||
-          (it->time == best->time && it->seq < best->seq)) {
-        best = it;
-      }
-    }
-    const std::pair<SimTime, EventId> out{best->time, best->id};
-    pending_.erase(best);
+    const auto first = pending_.begin();
+    const std::pair<SimTime, EventId> out{first->first.first, first->second};
+    index_.erase(first->second);
+    pending_.erase(first);
     return out;
   }
 
-  SimTime next_time() {
-    auto best = pending_.begin();
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (it->time < best->time ||
-          (it->time == best->time && it->seq < best->seq)) {
-        best = it;
-      }
-    }
-    return best->time;
-  }
-
-  void clear() { pending_.clear(); }
+  SimTime next_time() const { return pending_.begin()->first.first; }
 
  private:
-  struct Pending {
-    SimTime time;
-    std::uint64_t seq;  ///< model-side insertion order (FIFO tie-break)
-    EventId id;         ///< the real queue's handle for this event
-  };
-  std::vector<Pending> pending_;
-  std::uint64_t next_seq_ = 0;
+  /// (time, model-side insertion order): the seq is the FIFO tie-break.
+  using Key = std::pair<SimTime, std::int64_t>;
+  std::map<Key, EventId> pending_;
+  std::map<EventId, Key> index_;  ///< the real queue's handle -> its key
+  std::int64_t next_seq_ = 0;
 };
 
 // One fuzzing campaign: `ops` weighted operations against both queues,

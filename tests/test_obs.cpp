@@ -345,17 +345,65 @@ TEST(Tracer, RecordCapBoundsRetentionAndCountsDrops) {
 }
 
 TEST(MetricsDiff, ToleranceBandFormula) {
-  tools::DiffOptions exact;
-  EXPECT_TRUE(tools::within_tolerance(10, 10, exact));
-  EXPECT_FALSE(tools::within_tolerance(10, 11, exact));
-  tools::DiffOptions abs;
+  tools::Tolerance exact;
+  EXPECT_TRUE(exact.within(10, 10));
+  EXPECT_FALSE(exact.within(10, 11));
+  tools::Tolerance abs;
   abs.abs_tol = 1.0;
-  EXPECT_TRUE(tools::within_tolerance(10, 11, abs));
-  EXPECT_FALSE(tools::within_tolerance(10, 12, abs));
-  tools::DiffOptions rel;
+  EXPECT_TRUE(abs.within(10, 11));
+  EXPECT_FALSE(abs.within(10, 12));
+  tools::Tolerance rel;
   rel.rel_tol = 0.1;
-  EXPECT_TRUE(tools::within_tolerance(100, 109, rel));
-  EXPECT_FALSE(tools::within_tolerance(100, 120, rel));
+  EXPECT_TRUE(rel.within(100, 109));
+  EXPECT_FALSE(rel.within(100, 120));
+}
+
+TEST(MetricsDiff, ZeroToleranceIsExactAbove2To53) {
+  // 2^53 + 1 and 2^53 are the same double; the determinism gate must
+  // still tell the two counters apart.
+  Registry a;
+  a.counter("big").add(9'007'199'254'740'993ULL);
+  Registry b;
+  b.counter("big").add(9'007'199'254'740'992ULL);
+  const auto differences =
+      tools::diff_snapshots(tools::parse_snapshot(a.snapshot_json()),
+                            tools::parse_snapshot(b.snapshot_json()), {});
+  ASSERT_EQ(differences.size(), 1u);
+  EXPECT_EQ(differences[0].detail,
+            "value 9007199254740993 vs 9007199254740992");
+}
+
+TEST(DiffCommon, ReaderKeepsIntegersExactAndErrorsPositioned) {
+  const tools::JsonValue doc =
+      tools::parse_json("{\"n\":9007199254740993,\n \"x\":2e+06}");
+  EXPECT_EQ(tools::field(doc, "n").as_int(), 9'007'199'254'740'993LL);
+  EXPECT_DOUBLE_EQ(tools::field(doc, "x").as_double(), 2e6);
+  // A %g number where an integer belongs is an error, not a truncation.
+  try {
+    (void)tools::field(doc, "x").as_int();
+    ADD_FAILURE() << "a double read as an integer";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(),
+                 "line 2, column 6: expected an integer, got a "
+                 "non-integral number");
+  }
+  try {
+    (void)tools::parse_json("{\"a\":1,\n\"b\":[1 2]}");
+    ADD_FAILURE() << "malformed array accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "line 2, column 8: expected ',' or ']'");
+  }
+  EXPECT_THROW(tools::field(doc, "missing"), std::runtime_error);
+  EXPECT_THROW(tools::parse_json("{\"a\":1,\"a\":2}"), std::runtime_error);
+  EXPECT_THROW(tools::parse_json("[1] x"), std::runtime_error);
+}
+
+TEST(DiffCommon, ToleranceFlagsParseStrictly) {
+  EXPECT_EQ(tools::parse_tolerance("0.25"), 0.25);
+  EXPECT_EQ(tools::parse_tolerance("0"), 0.0);
+  for (const char* bad : {"25%", "0.25x", "-1", "nan", "inf", "", " 1"}) {
+    EXPECT_FALSE(tools::parse_tolerance(bad).has_value()) << bad;
+  }
 }
 
 TEST(MetricsDiff, FlagsValueAndPresenceDifferences) {
@@ -373,7 +421,7 @@ TEST(MetricsDiff, FlagsValueAndPresenceDifferences) {
   EXPECT_EQ(exact[1].instrument, "diff.only_a");
   EXPECT_EQ(exact[1].detail, "only in first snapshot");
 
-  tools::DiffOptions band;
+  tools::Tolerance band;
   band.rel_tol = 0.05;
   const auto tolerant = tools::diff_snapshots(left, right, band);
   ASSERT_EQ(tolerant.size(), 1u);  // the value now fits the band

@@ -1,17 +1,13 @@
-// Unit tests for vgrid::stats — descriptive stats, streaming accumulator,
-// histogram, regression and Student-t critical values.
+// Unit tests for vgrid::stats — descriptive stats and Student-t critical
+// values.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "stats/accumulator.hpp"
 #include "stats/descriptive.hpp"
-#include "stats/histogram.hpp"
-#include "stats/regression.hpp"
 #include "stats/student_t.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace vgrid::stats {
@@ -128,137 +124,6 @@ TEST(StudentT, ZCritical) {
 
 TEST(StudentT, DofClampedToOne) {
   EXPECT_NEAR(t_critical(0, 0.95), 12.706, 1e-3);
-}
-
-// ---- accumulator ---------------------------------------------------------------
-
-TEST(Accumulator, MatchesBatchStatistics) {
-  util::Xoshiro256 rng(77);
-  std::vector<double> sample(1000);
-  Accumulator acc;
-  for (auto& v : sample) {
-    v = rng.uniform(0.0, 100.0);
-    acc.add(v);
-  }
-  EXPECT_EQ(acc.count(), 1000u);
-  EXPECT_NEAR(acc.mean(), mean(sample), 1e-9);
-  EXPECT_NEAR(acc.stddev(), sample_stddev(sample), 1e-9);
-}
-
-TEST(Accumulator, MinMaxSum) {
-  Accumulator acc;
-  acc.add(3);
-  acc.add(-1);
-  acc.add(7);
-  EXPECT_DOUBLE_EQ(acc.min(), -1.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 7.0);
-  EXPECT_DOUBLE_EQ(acc.sum(), 9.0);
-}
-
-TEST(Accumulator, VarianceNeedsTwoSamples) {
-  Accumulator acc;
-  acc.add(5.0);
-  EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
-}
-
-TEST(Accumulator, MergeEqualsConcatenation) {
-  util::Xoshiro256 rng(78);
-  Accumulator a, b, whole;
-  for (int i = 0; i < 500; ++i) {
-    const double v = rng.normal(5.0, 2.0);
-    (i < 200 ? a : b).add(v);
-    whole.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), whole.min());
-  EXPECT_DOUBLE_EQ(a.max(), whole.max());
-}
-
-TEST(Accumulator, MergeWithEmpty) {
-  Accumulator a, empty;
-  a.add(1.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-}
-
-TEST(Accumulator, ResetClears) {
-  Accumulator acc;
-  acc.add(1.0);
-  acc.reset();
-  EXPECT_EQ(acc.count(), 0u);
-}
-
-// ---- histogram -----------------------------------------------------------------
-
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bin 0
-  h.add(9.99);  // bin 9
-  h.add(-1.0);  // underflow
-  h.add(10.0);  // overflow (hi is exclusive)
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(9), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 10.0, 10);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 4.0);
-}
-
-TEST(Histogram, RejectsBadConfig) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 10), util::ConfigError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), util::ConfigError);
-}
-
-TEST(Histogram, AsciiRenders) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string out = h.ascii(10);
-  EXPECT_NE(out.find('#'), std::string::npos);
-}
-
-// ---- regression -----------------------------------------------------------------
-
-TEST(Regression, ExactLine) {
-  const std::vector<double> xs{1, 2, 3, 4};
-  const std::vector<double> ys{3, 5, 7, 9};  // y = 2x + 1
-  const LinearFit fit = fit_line(xs, ys);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-12);
-  EXPECT_NEAR(fit.intercept, 1.0, 1e-12);
-  EXPECT_NEAR(fit.r_squared, 1.0, 1e-12);
-  EXPECT_NEAR(fit.at(10.0), 21.0, 1e-12);
-}
-
-TEST(Regression, NoisyLineRecovered) {
-  util::Xoshiro256 rng(123);
-  std::vector<double> xs, ys;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.uniform(0, 100);
-    xs.push_back(x);
-    ys.push_back(3.0 * x - 7.0 + rng.normal(0.0, 1.0));
-  }
-  const LinearFit fit = fit_line(xs, ys);
-  EXPECT_NEAR(fit.slope, 3.0, 0.02);
-  EXPECT_NEAR(fit.intercept, -7.0, 1.0);
-  EXPECT_GT(fit.r_squared, 0.99);
-}
-
-TEST(Regression, DegenerateInputsGiveZeroFit) {
-  EXPECT_DOUBLE_EQ(fit_line({}, {}).slope, 0.0);
-  const std::vector<double> xs{1, 1, 1};
-  const std::vector<double> ys{1, 2, 3};
-  EXPECT_DOUBLE_EQ(fit_line(xs, ys).slope, 0.0);  // constant x
 }
 
 }  // namespace

@@ -238,9 +238,24 @@ TEST(TimeseriesDiff, ValueDriftIsFlaggedThenAbsorbedByTheBand) {
   ASSERT_FALSE(exact.empty());
   EXPECT_EQ(exact[0].series, "test.events/delta");
 
-  tools::TimeseriesDiffOptions band;
+  tools::Tolerance band;
   band.abs_tol = 2.0;
   EXPECT_TRUE(tools::diff_timeseries(a, b, band).empty());
+}
+
+TEST(TimeseriesDiff, ZeroToleranceIsExactAbove2To53) {
+  // 2^53 + 1 and 2^53 are the same double; the determinism gate must
+  // still tell the two points apart.
+  const auto a =
+      tools::parse_timeseries(small_export(9'007'199'254'740'993ULL));
+  const auto b =
+      tools::parse_timeseries(small_export(9'007'199'254'740'992ULL));
+  const auto differences = tools::diff_timeseries(a, b, {});
+  ASSERT_FALSE(differences.empty());
+  EXPECT_EQ(differences[0].series, "test.events/delta");
+  EXPECT_EQ(differences[0].detail,
+            "point[1] (t_ms 100) value 9007199254740993 vs "
+            "9007199254740992");
 }
 
 TEST(TimeseriesDiff, CadenceMismatchIsSchemaNotNoise) {
@@ -253,7 +268,7 @@ TEST(TimeseriesDiff, CadenceMismatchIsSchemaNotNoise) {
   slow.sample(registry, 0);
   const auto a = tools::parse_timeseries(fast.render_json());
   const auto b = tools::parse_timeseries(slow.render_json());
-  tools::TimeseriesDiffOptions generous;
+  tools::Tolerance generous;
   generous.abs_tol = 1e9;  // no band forgives a schema change
   const auto differences = tools::diff_timeseries(a, b, generous);
   ASSERT_FALSE(differences.empty());

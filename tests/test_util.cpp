@@ -295,8 +295,14 @@ TEST(Args, BooleanFlagFollowedByFlag) {
 }
 
 TEST(Args, FallbacksOnMissingOrMalformed) {
-  const Args args = parse({"--count", "notanumber"});
-  EXPECT_EQ(args.get_long("count", 7), 7);
+  // Absent flags fall back; a present flag that does not parse in full is
+  // a ConfigError, never a silent fallback or a truncated prefix.
+  const Args args = parse({"--count", "notanumber", "--hosts", "100k",
+                           "--ratio", "2.5x", "--empty="});
+  EXPECT_THROW(args.get_long("count", 7), ConfigError);
+  EXPECT_THROW(args.get_long("hosts", 7), ConfigError);
+  EXPECT_THROW(args.get_double("ratio", 1.0), ConfigError);
+  EXPECT_THROW(args.get_long("empty", 7), ConfigError);
   EXPECT_EQ(args.get_long("absent", 9), 9);
   EXPECT_DOUBLE_EQ(args.get_double("absent", 1.5), 1.5);
   EXPECT_FALSE(args.get("absent").has_value());

@@ -1,196 +1,15 @@
 #include "bench_diff/bench_diff.hpp"
 
-#include <cctype>
-#include <cmath>
-#include <cstdlib>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
-#include <stdexcept>
+#include <utility>
+
+#include "diff_common/diff_common.hpp"
 
 namespace vgrid::tools {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader for the bench document. Unlike metrics_diff's
-// line-oriented parser this one reads the whole (multi-line) document, and
-// numbers may be floating point (%g-formatted ops / ops_per_sec).
-// ---------------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind { kObject, kArray, kString, kNumber, kBool };
-  Kind kind = Kind::kNumber;
-  std::map<std::string, JsonValue> object;
-  std::vector<JsonValue> array;
-  std::string string;
-  double number = 0.0;
-  bool boolean = false;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue value = parse_value();
-    skip_space();
-    if (pos_ != text_.size()) fail("trailing characters");
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("bench_diff: JSON error at offset " +
-                             std::to_string(pos_) + ": " + what);
-  }
-
-  void skip_space() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_space();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return parse_string();
-    if (c == 't' || c == 'f') return parse_bool();
-    return parse_number();
-  }
-
-  JsonValue parse_object() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kObject;
-    expect('{');
-    if (peek() == '}') {
-      ++pos_;
-      return value;
-    }
-    while (true) {
-      JsonValue key = parse_string();
-      expect(':');
-      value.object[key.string] = parse_value();
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return value;
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
-  }
-
-  JsonValue parse_array() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kArray;
-    expect('[');
-    if (peek() == ']') {
-      ++pos_;
-      return value;
-    }
-    while (true) {
-      value.array.push_back(parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return value;
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
-  }
-
-  JsonValue parse_string() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kString;
-    expect('"');
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return value;
-      if (c != '\\') {
-        value.string.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': value.string.push_back('"'); break;
-        case '\\': value.string.push_back('\\'); break;
-        case '/': value.string.push_back('/'); break;
-        case 'n': value.string.push_back('\n'); break;
-        case 't': value.string.push_back('\t'); break;
-        case 'r': value.string.push_back('\r'); break;
-        case 'b': value.string.push_back('\b'); break;
-        case 'f': value.string.push_back('\f'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          const std::string hex = text_.substr(pos_, 4);
-          pos_ += 4;
-          const long code = std::strtol(hex.c_str(), nullptr, 16);
-          if (code > 0xFF) fail("\\u escape beyond latin-1 unsupported");
-          value.string.push_back(static_cast<char>(code));
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  JsonValue parse_bool() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      value.boolean = true;
-      pos_ += 4;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      value.boolean = false;
-      pos_ += 5;
-    } else {
-      fail("expected true/false");
-    }
-    return value;
-  }
-
-  JsonValue parse_number() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kNumber;
-    const std::size_t start = pos_;
-    auto accept = [&](auto pred) {
-      while (pos_ < text_.size() && pred(text_[pos_])) ++pos_;
-    };
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    accept([](char c) {
-      return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
-             c == '+' || c == '-';
-    });
-    if (pos_ == start) fail("expected a number");
-    value.number =
-        std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
-    return value;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-const JsonValue& field(const JsonValue& object, const std::string& name) {
-  const auto it = object.object.find(name);
-  if (it == object.object.end()) {
-    throw std::runtime_error("bench_diff: document missing field '" + name +
-                             "'");
-  }
-  return it->second;
-}
 
 std::string format_ns(std::int64_t ns) {
   std::ostringstream out;
@@ -209,41 +28,40 @@ std::string format_ns(std::int64_t ns) {
 }  // namespace
 
 BenchDoc parse_bench(const std::string& text) {
-  const JsonValue root = JsonParser(text).parse();
-  BenchDoc doc;
-  doc.version =
-      static_cast<int>(field(root, "vgrid_bench_version").number);
-  if (doc.version != 1) {
-    throw std::runtime_error(
-        "bench_diff: unsupported vgrid_bench_version " +
-        std::to_string(doc.version));
+  const JsonValue root = parse_json(text);
+  const JsonValue& version = field(root, "vgrid_bench_version");
+  if (version.as_int() != 1) {
+    fail_at(version, "unsupported vgrid_bench_version " +
+                         std::to_string(version.integer));
   }
+  BenchDoc doc;
+  doc.version = 1;
   const JsonValue& host = field(root, "host");
-  doc.compiler = field(host, "compiler").string;
-  doc.cores = static_cast<std::int64_t>(field(host, "cores").number);
-  // quick lives in the host fingerprint since the eventlog PR; older
-  // committed trajectory entries carry it at top level.
-  if (host.object.count("quick") != 0) {
-    doc.quick = field(host, "quick").boolean;
+  doc.compiler = field(host, "compiler").as_string();
+  doc.cores = field(host, "cores").as_int();
+  // quick lives in the host fingerprint; older committed trajectory
+  // entries carry it at top level.
+  if (host.as_object().count("quick") != 0) {
+    doc.quick = field(host, "quick").as_bool();
   } else {
-    doc.quick = field(root, "quick").boolean;
+    doc.quick = field(root, "quick").as_bool();
   }
   const JsonValue& scenario = field(root, "scenario");
-  doc.scenario_name = field(scenario, "name").string;
-  doc.scenario_hash = field(scenario, "hash").string;
-  for (const JsonValue& entry : field(root, "benchmarks").array) {
+  doc.scenario_name = field(scenario, "name").as_string();
+  doc.scenario_hash = field(scenario, "hash").as_string();
+  for (const JsonValue& entry : field(root, "benchmarks").as_array()) {
     BenchEntry bench;
-    bench.name = field(entry, "name").string;
-    bench.reps = static_cast<int>(field(entry, "reps").number);
-    bench.ops = field(entry, "ops").number;
-    bench.median_ns =
-        static_cast<std::int64_t>(field(entry, "median_ns").number);
-    bench.min_ns = static_cast<std::int64_t>(field(entry, "min_ns").number);
-    bench.ops_per_sec = field(entry, "ops_per_sec").number;
-    if (bench.name.empty() || bench.median_ns <= 0 || bench.reps <= 0) {
-      throw std::runtime_error(
-          "bench_diff: malformed benchmark entry '" + bench.name + "'");
+    bench.name = field(entry, "name").as_string();
+    const std::int64_t reps = field(entry, "reps").as_int();
+    bench.ops = field(entry, "ops").as_double();
+    bench.median_ns = field(entry, "median_ns").as_int();
+    bench.min_ns = field(entry, "min_ns").as_int();
+    bench.ops_per_sec = field(entry, "ops_per_sec").as_double();
+    if (bench.name.empty() || bench.median_ns <= 0 || reps <= 0 ||
+        reps > std::numeric_limits<int>::max()) {
+      fail_at(entry, "malformed benchmark entry '" + bench.name + "'");
     }
+    bench.reps = static_cast<int>(reps);
     doc.benchmarks.push_back(std::move(bench));
   }
   return doc;

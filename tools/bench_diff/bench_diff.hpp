@@ -44,9 +44,9 @@ struct BenchDoc {
   std::vector<BenchEntry> benchmarks;  ///< document order
 };
 
-/// Parse a BENCH_vgrid.json document. Throws std::runtime_error with an
-/// offset-qualified message on malformed input or an unsupported
-/// vgrid_bench_version.
+/// Parse a BENCH_vgrid.json document with the shared reader in
+/// tools/diff_common. Throws std::runtime_error with a line-qualified
+/// message on malformed input or an unsupported vgrid_bench_version.
 BenchDoc parse_bench(const std::string& text);
 
 struct BenchDiffOptions {

@@ -6,18 +6,21 @@
 // Exit status: 0 when no regression (notes are fine), 1 when --gate is
 // set and a regression was found, 2 on usage/parse error. Without --gate
 // the exit is always 0/2 — reporting mode for reading a trajectory.
+// --rel-tol must be a plain finite number >= 0 and --abs-ns a whole
+// number of nanoseconds >= 0: "--rel-tol 25%" is a usage error, not 25.
 // --require NAME (repeatable) makes a candidate missing benchmark NAME a
 // regression even when the baseline predates it — CI pins newly added
 // coverage with it.
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_diff/bench_diff.hpp"
+#include "diff_common/diff_common.hpp"
 
 namespace {
 
@@ -28,15 +31,7 @@ int usage() {
   return 2;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("bench_diff: cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+using vgrid::tools::read_file;
 
 }  // namespace
 
@@ -46,10 +41,17 @@ int main(int argc, char** argv) {
   bool gate = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--rel-tol" && i + 1 < argc) {
-      options.rel_tol = std::atof(argv[++i]);
-    } else if (arg == "--abs-ns" && i + 1 < argc) {
-      options.abs_ns = std::atoll(argv[++i]);
+    if ((arg == "--rel-tol" || arg == "--abs-ns") && i + 1 < argc) {
+      const std::optional<double> tol =
+          vgrid::tools::parse_tolerance(argv[++i]);
+      if (!tol) return usage();
+      if (arg == "--rel-tol") {
+        options.rel_tol = *tol;
+      } else if (*tol != std::floor(*tol) || *tol > 9.0e18) {
+        return usage();  // not a whole int64 count of nanoseconds
+      } else {
+        options.abs_ns = static_cast<std::int64_t>(*tol);
+      }
     } else if (arg == "--gate") {
       gate = true;
     } else if (arg == "--require" && i + 1 < argc) {
@@ -97,7 +99,7 @@ int main(int argc, char** argv) {
         static_cast<long long>(options.abs_ns));
     return 0;
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s\n", error.what());
+    std::fprintf(stderr, "bench_diff: %s\n", error.what());
     return 2;
   }
 }

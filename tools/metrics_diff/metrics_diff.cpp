@@ -1,230 +1,45 @@
 #include "metrics_diff/metrics_diff.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 namespace vgrid::tools {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader for one instrument line. Supports exactly what
-// obs::Registry::snapshot_json emits: objects, arrays, strings with the
-// escapes util::json_escape produces, integers, and booleans.
-// ---------------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind { kObject, kArray, kString, kNumber, kBool };
-  Kind kind = Kind::kNumber;
-  std::map<std::string, JsonValue> object;
-  std::vector<JsonValue> array;
-  std::string string;
-  std::int64_t number = 0;
-  bool boolean = false;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue value = parse_value();
-    skip_space();
-    if (pos_ != text_.size()) fail("trailing characters");
-    return value;
+ParsedInstrument parse_instrument(const JsonValue& value) {
+  ParsedInstrument instrument;
+  instrument.name = field(value, "name").as_string();
+  for (const auto& [key, label] : field(value, "labels").as_object()) {
+    instrument.labels[key] = label.as_string();
   }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("metrics_diff: JSON error at offset " +
-                             std::to_string(pos_) + ": " + what);
-  }
-
-  void skip_space() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t')) {
-      ++pos_;
+  const JsonValue& type = field(value, "type");
+  instrument.type = type.as_string();
+  if (instrument.type == "counter") {
+    instrument.value = field(value, "value").as_int();
+  } else if (instrument.type == "gauge") {
+    instrument.value = field(value, "value").as_int();
+    instrument.agg = field(value, "agg").as_string();
+    instrument.set = field(value, "set").as_bool();
+  } else if (instrument.type == "histogram") {
+    for (const JsonValue& bound : field(value, "bounds").as_array()) {
+      instrument.bounds.push_back(bound.as_int());
     }
-  }
-
-  char peek() {
-    skip_space();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return parse_string();
-    if (c == 't' || c == 'f') return parse_bool();
-    return parse_number();
-  }
-
-  JsonValue parse_object() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kObject;
-    expect('{');
-    if (peek() == '}') {
-      ++pos_;
-      return value;
+    for (const JsonValue& count : field(value, "counts").as_array()) {
+      instrument.counts.push_back(
+          static_cast<std::uint64_t>(count.as_int()));
     }
-    while (true) {
-      JsonValue key = parse_string();
-      expect(':');
-      value.object[key.string] = parse_value();
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return value;
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
+    instrument.count =
+        static_cast<std::uint64_t>(field(value, "count").as_int());
+    instrument.sum = field(value, "sum").as_int();
+    instrument.min = field(value, "min").as_int();
+    instrument.max = field(value, "max").as_int();
+    instrument.p50 = field(value, "p50").as_int();
+    instrument.p90 = field(value, "p90").as_int();
+    instrument.p99 = field(value, "p99").as_int();
+  } else {
+    fail_at(type, "unknown instrument type '" + instrument.type + "'");
   }
-
-  JsonValue parse_array() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kArray;
-    expect('[');
-    if (peek() == ']') {
-      ++pos_;
-      return value;
-    }
-    while (true) {
-      value.array.push_back(parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return value;
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
-  }
-
-  JsonValue parse_string() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kString;
-    expect('"');
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return value;
-      if (c != '\\') {
-        value.string.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': value.string.push_back('"'); break;
-        case '\\': value.string.push_back('\\'); break;
-        case '/': value.string.push_back('/'); break;
-        case 'n': value.string.push_back('\n'); break;
-        case 't': value.string.push_back('\t'); break;
-        case 'r': value.string.push_back('\r'); break;
-        case 'b': value.string.push_back('\b'); break;
-        case 'f': value.string.push_back('\f'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          const std::string hex = text_.substr(pos_, 4);
-          pos_ += 4;
-          const long code = std::strtol(hex.c_str(), nullptr, 16);
-          if (code > 0xFF) fail("\\u escape beyond latin-1 unsupported");
-          value.string.push_back(static_cast<char>(code));
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  JsonValue parse_bool() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      value.boolean = true;
-      pos_ += 4;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      value.boolean = false;
-      pos_ += 5;
-    } else {
-      fail("expected true/false");
-    }
-    return value;
-  }
-
-  JsonValue parse_number() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kNumber;
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a number");
-    value.number = std::strtoll(text_.substr(start, pos_ - start).c_str(),
-                                nullptr, 10);
-    return value;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-const JsonValue& field(const JsonValue& object, const std::string& name) {
-  const auto it = object.object.find(name);
-  if (it == object.object.end()) {
-    throw std::runtime_error("metrics_diff: instrument missing field '" +
-                             name + "'");
-  }
-  return it->second;
-}
-
-ParsedInstrument parse_instrument(const std::string& line, int line_no) {
-  try {
-    const JsonValue value = JsonParser(line).parse();
-    ParsedInstrument instrument;
-    instrument.name = field(value, "name").string;
-    for (const auto& [key, label] : field(value, "labels").object) {
-      instrument.labels[key] = label.string;
-    }
-    instrument.type = field(value, "type").string;
-    if (instrument.type == "counter") {
-      instrument.value = field(value, "value").number;
-    } else if (instrument.type == "gauge") {
-      instrument.value = field(value, "value").number;
-      instrument.agg = field(value, "agg").string;
-      instrument.set = field(value, "set").boolean;
-    } else if (instrument.type == "histogram") {
-      for (const auto& bound : field(value, "bounds").array) {
-        instrument.bounds.push_back(bound.number);
-      }
-      for (const auto& count : field(value, "counts").array) {
-        instrument.counts.push_back(
-            static_cast<std::uint64_t>(count.number));
-      }
-      instrument.count =
-          static_cast<std::uint64_t>(field(value, "count").number);
-      instrument.sum = field(value, "sum").number;
-      instrument.min = field(value, "min").number;
-      instrument.max = field(value, "max").number;
-      instrument.p50 = field(value, "p50").number;
-      instrument.p90 = field(value, "p90").number;
-      instrument.p99 = field(value, "p99").number;
-    } else {
-      throw std::runtime_error("metrics_diff: unknown instrument type '" +
-                               instrument.type + "'");
-    }
-    return instrument;
-  } catch (const std::runtime_error& error) {
-    throw std::runtime_error("line " + std::to_string(line_no) + ": " +
-                             error.what());
-  }
+  return instrument;
 }
 
 std::string instrument_id(const ParsedInstrument& instrument) {
@@ -245,50 +60,23 @@ std::string instrument_id(const ParsedInstrument& instrument) {
 }  // namespace
 
 ParsedSnapshot parse_snapshot(const std::string& text) {
+  const JsonValue root = parse_json(text);
+  const JsonValue& version = field(root, "vgrid_metrics_version");
   ParsedSnapshot snapshot;
-  std::istringstream in(text);
-  std::string line;
-  int line_no = 0;
-  bool in_instruments = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line == "{" || line == "}" || line == "]") continue;
-    if (line.rfind("\"vgrid_metrics_version\":", 0) == 0) {
-      snapshot.version = std::atoi(
-          line.c_str() + std::string("\"vgrid_metrics_version\":").size());
-      continue;
-    }
-    if (line == "\"instruments\":[") {
-      in_instruments = true;
-      continue;
-    }
-    if (!in_instruments) {
-      throw std::runtime_error("metrics_diff: line " +
-                               std::to_string(line_no) +
-                               ": unexpected content before instruments");
-    }
-    if (line.back() == ',') line.pop_back();
-    snapshot.instruments.push_back(parse_instrument(line, line_no));
+  if (version.as_int() != 1) {
+    fail_at(version, "unsupported vgrid_metrics_version " +
+                         std::to_string(version.integer));
   }
-  if (snapshot.version != 1) {
-    throw std::runtime_error(
-        "metrics_diff: unsupported or missing vgrid_metrics_version (got " +
-        std::to_string(snapshot.version) + ")");
+  snapshot.version = 1;
+  for (const JsonValue& instrument : field(root, "instruments").as_array()) {
+    snapshot.instruments.push_back(parse_instrument(instrument));
   }
   return snapshot;
 }
 
-bool within_tolerance(double a, double b, const DiffOptions& options) {
-  const double band =
-      options.abs_tol +
-      options.rel_tol * std::max(std::fabs(a), std::fabs(b));
-  return std::fabs(a - b) <= band;
-}
-
 std::vector<Difference> diff_snapshots(const ParsedSnapshot& a,
                                        const ParsedSnapshot& b,
-                                       const DiffOptions& options) {
+                                       const Tolerance& tolerance) {
   std::vector<Difference> differences;
   // Index both sides by (name, labels); std::map keeps the report sorted.
   using Id = std::pair<std::string, std::map<std::string, std::string>>;
@@ -306,12 +94,11 @@ std::vector<Difference> diff_snapshots(const ParsedSnapshot& a,
     differences.push_back({instrument_id(instrument), detail});
   };
   auto compare_scalar = [&](const ParsedInstrument& instrument,
-                            const std::string& what, double lhs,
-                            double rhs) {
-    if (within_tolerance(lhs, rhs, options)) return;
+                            const std::string& what, std::int64_t lhs,
+                            std::int64_t rhs) {
+    if (tolerance.within(lhs, rhs)) return;
     std::ostringstream detail;
-    detail << what << " " << static_cast<std::int64_t>(lhs) << " vs "
-           << static_cast<std::int64_t>(rhs);
+    detail << what << " " << lhs << " vs " << rhs;
     note(instrument, detail.str());
   };
 
@@ -327,9 +114,7 @@ std::vector<Difference> diff_snapshots(const ParsedSnapshot& a,
       continue;
     }
     if (lhs->type == "counter") {
-      compare_scalar(*lhs, "value",
-                     static_cast<double>(lhs->value),
-                     static_cast<double>(rhs.value));
+      compare_scalar(*lhs, "value", lhs->value, rhs.value);
     } else if (lhs->type == "gauge") {
       if (lhs->agg != rhs.agg) {
         note(*lhs, "agg " + lhs->agg + " vs " + rhs.agg);
@@ -340,9 +125,7 @@ std::vector<Difference> diff_snapshots(const ParsedSnapshot& a,
                        " vs " + (rhs.set ? "true" : "false"));
         continue;
       }
-      compare_scalar(*lhs, "value",
-                     static_cast<double>(lhs->value),
-                     static_cast<double>(rhs.value));
+      compare_scalar(*lhs, "value", lhs->value, rhs.value);
     } else {
       // Histogram: the bucket layout is schema, not noise — exact match
       // required; everything else honours the tolerance band.
@@ -352,32 +135,25 @@ std::vector<Difference> diff_snapshots(const ParsedSnapshot& a,
       }
       for (std::size_t i = 0; i < lhs->counts.size(); ++i) {
         if (i < rhs.counts.size() &&
-            !within_tolerance(static_cast<double>(lhs->counts[i]),
-                              static_cast<double>(rhs.counts[i]),
-                              options)) {
+            !tolerance.within(static_cast<std::int64_t>(lhs->counts[i]),
+                              static_cast<std::int64_t>(rhs.counts[i]))) {
           std::ostringstream detail;
           detail << "bucket[" << i << "] " << lhs->counts[i] << " vs "
                  << rhs.counts[i];
           note(*lhs, detail.str());
         }
       }
-      compare_scalar(*lhs, "count", static_cast<double>(lhs->count),
-                     static_cast<double>(rhs.count));
-      compare_scalar(*lhs, "sum", static_cast<double>(lhs->sum),
-                     static_cast<double>(rhs.sum));
-      compare_scalar(*lhs, "min", static_cast<double>(lhs->min),
-                     static_cast<double>(rhs.min));
-      compare_scalar(*lhs, "max", static_cast<double>(lhs->max),
-                     static_cast<double>(rhs.max));
+      compare_scalar(*lhs, "count", static_cast<std::int64_t>(lhs->count),
+                     static_cast<std::int64_t>(rhs.count));
+      compare_scalar(*lhs, "sum", lhs->sum, rhs.sum);
+      compare_scalar(*lhs, "min", lhs->min, rhs.min);
+      compare_scalar(*lhs, "max", lhs->max, rhs.max);
       // Derived percentiles are functions of the buckets, but a reader of
       // the diff wants to see tail movement called out directly — compare
       // them under the same band as the raw aggregates.
-      compare_scalar(*lhs, "p50", static_cast<double>(lhs->p50),
-                     static_cast<double>(rhs.p50));
-      compare_scalar(*lhs, "p90", static_cast<double>(lhs->p90),
-                     static_cast<double>(rhs.p90));
-      compare_scalar(*lhs, "p99", static_cast<double>(lhs->p99),
-                     static_cast<double>(rhs.p99));
+      compare_scalar(*lhs, "p50", lhs->p50, rhs.p50);
+      compare_scalar(*lhs, "p90", lhs->p90, rhs.p90);
+      compare_scalar(*lhs, "p99", lhs->p99, rhs.p99);
     }
   }
   for (const auto& [id, rhs] : right) {

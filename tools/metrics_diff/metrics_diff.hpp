@@ -3,25 +3,27 @@
 // written by `--metrics-out` / `vgrid metrics --out`) with optional
 // tolerance bands.
 //
-// The parser is deliberately specialized to the snapshot format
-// (obs::Registry::snapshot_json: a versioned header and one instrument
-// object per line, sorted by name/labels) rather than being a general JSON
-// reader: the format is produced by this repo only, and the line
-// discipline makes positions in error messages exact.
+// The snapshot (obs::Registry::snapshot_json: a versioned header and one
+// instrument object per line, sorted by name/labels) is read as one JSON
+// document by the shared reader in tools/diff_common; this file only walks
+// the parsed tree, so every parse or schema error is line-qualified.
 //
 // Comparison semantics:
 //  - instruments present in only one snapshot are always differences;
 //  - counter/gauge values and histogram count/sum/min/max compare within
-//    the tolerance band: |a - b| <= abs_tol + rel_tol * max(|a|, |b|);
+//    the tolerance band (tools::Tolerance):
+//    |a - b| <= abs_tol + rel_tol * max(|a|, |b|);
 //  - histogram bucket layouts must match exactly (a layout change is a
 //    schema change, not noise), bucket counts use the band;
-//  - abs_tol = rel_tol = 0 (the default) demands byte-equal values — the
-//    determinism gate.
+//  - abs_tol = rel_tol = 0 (the default) demands equal integers, exact at
+//    any magnitude — the determinism gate.
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
+
+#include "diff_common/diff_common.hpp"
 
 namespace vgrid::tools {
 
@@ -57,11 +59,6 @@ struct ParsedSnapshot {
 /// line-qualified message on malformed input.
 ParsedSnapshot parse_snapshot(const std::string& text);
 
-struct DiffOptions {
-  double abs_tol = 0.0;
-  double rel_tol = 0.0;
-};
-
 struct Difference {
   std::string instrument;  // "name{k=v,...}"
   std::string detail;      // human-readable mismatch description
@@ -71,9 +68,6 @@ struct Difference {
 /// means the snapshots agree.
 std::vector<Difference> diff_snapshots(const ParsedSnapshot& a,
                                        const ParsedSnapshot& b,
-                                       const DiffOptions& options);
-
-/// True when |a - b| <= abs_tol + rel_tol * max(|a|, |b|).
-bool within_tolerance(double a, double b, const DiffOptions& options);
+                                       const Tolerance& tolerance);
 
 }  // namespace vgrid::tools

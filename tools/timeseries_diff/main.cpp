@@ -3,14 +3,13 @@
 //   timeseries_diff a.json b.json [--abs-tol N] [--rel-tol F]
 //
 // Exit status: 0 exports agree, 1 differences found, 2 usage/parse error.
-// With zero tolerances (the default) this is the determinism gate: any
-// value mismatch is a failure. Non-zero tolerances turn it into a
+// A tolerance must be a plain finite number >= 0 ("25%" is a usage
+// error). With zero tolerances (the default) this is the determinism
+// gate: any value mismatch is a failure. Non-zero tolerances turn it into a
 // regression check between runs of different seeds or machines.
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,27 +24,20 @@ int usage() {
   return 2;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("timeseries_diff: cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+using vgrid::tools::read_file;
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> files;
-  vgrid::tools::TimeseriesDiffOptions options;
+  vgrid::tools::Tolerance options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--abs-tol" && i + 1 < argc) {
-      options.abs_tol = std::atof(argv[++i]);
-    } else if (arg == "--rel-tol" && i + 1 < argc) {
-      options.rel_tol = std::atof(argv[++i]);
+    if ((arg == "--abs-tol" || arg == "--rel-tol") && i + 1 < argc) {
+      const std::optional<double> tol =
+          vgrid::tools::parse_tolerance(argv[++i]);
+      if (!tol) return usage();
+      (arg == "--abs-tol" ? options.abs_tol : options.rel_tol) = *tol;
     } else if (!arg.empty() && arg[0] == '-') {
       return usage();
     } else {
@@ -73,7 +65,7 @@ int main(int argc, char** argv) {
                  differences.size());
     return 1;
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s\n", error.what());
+    std::fprintf(stderr, "timeseries_diff: %s\n", error.what());
     return 2;
   }
 }

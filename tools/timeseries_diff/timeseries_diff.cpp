@@ -1,10 +1,6 @@
 #include "timeseries_diff/timeseries_diff.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
-#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -12,204 +8,25 @@ namespace vgrid::tools {
 
 namespace {
 
-// ---- JSON-lite reader (same shape as metrics_diff's) -----------------------
-// Handles exactly the subset render_json emits: objects, arrays, strings
-// with \"\\/bfnrt and \uXXXX escapes, signed integers. Anything else is a
-// parse error with a byte offset.
-
-struct JsonValue {
-  enum class Kind { kObject, kArray, kString, kNumber };
-  Kind kind = Kind::kNumber;
-  std::map<std::string, JsonValue> object;
-  std::vector<JsonValue> array;
-  std::string string;
-  std::int64_t number = 0;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    const JsonValue value = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content");
-    return value;
+ParsedSeries parse_series(const JsonValue& value) {
+  ParsedSeries series;
+  series.name = field(value, "name").as_string();
+  for (const auto& [key, label] : field(value, "labels").as_object()) {
+    series.labels[key] = label.as_string();
   }
-
- private:
-  [[noreturn]] void fail(const std::string& what) {
-    throw std::runtime_error("timeseries_diff: " + what + " at byte " +
-                             std::to_string(pos_));
+  series.track = field(value, "track").as_string();
+  series.total_points =
+      static_cast<std::uint64_t>(field(value, "total_points").as_int());
+  series.evicted = static_cast<std::uint64_t>(field(value, "evicted").as_int());
+  series.last = field(value, "last").as_int();
+  series.min = field(value, "min").as_int();
+  series.max = field(value, "max").as_int();
+  for (const JsonValue& point : field(value, "points").as_array()) {
+    const std::vector<JsonValue>& pair = point.as_array();
+    if (pair.size() != 2) fail_at(point, "point is not a [t_ms,value] pair");
+    series.points.emplace_back(pair[0].as_int(), pair[1].as_int());
   }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return parse_string();
-    if (c == '-' || (c >= '0' && c <= '9')) return parse_number();
-    fail("unexpected character");
-  }
-
-  JsonValue parse_object() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return value;
-    }
-    while (true) {
-      skip_ws();
-      const JsonValue key = parse_string();
-      skip_ws();
-      expect(':');
-      value.object[key.string] = parse_value();
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return value;
-    }
-  }
-
-  JsonValue parse_array() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kArray;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return value;
-    }
-    while (true) {
-      value.array.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return value;
-    }
-  }
-
-  JsonValue parse_string() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kString;
-    expect('"');
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return value;
-      if (c != '\\') {
-        value.string += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': value.string += '"'; break;
-        case '\\': value.string += '\\'; break;
-        case '/': value.string += '/'; break;
-        case 'b': value.string += '\b'; break;
-        case 'f': value.string += '\f'; break;
-        case 'n': value.string += '\n'; break;
-        case 'r': value.string += '\r'; break;
-        case 't': value.string += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          const std::string hex = text_.substr(pos_, 4);
-          pos_ += 4;
-          const long code = std::strtol(hex.c_str(), nullptr, 16);
-          // json_escape only emits \u00XX for control bytes.
-          value.string += static_cast<char>(code);
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  JsonValue parse_number() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kNumber;
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a number");
-    value.number = std::strtoll(text_.substr(start, pos_ - start).c_str(),
-                                nullptr, 10);
-    return value;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-const JsonValue& field(const JsonValue& object, const std::string& name) {
-  const auto it = object.object.find(name);
-  if (it == object.object.end()) {
-    throw std::runtime_error("timeseries_diff: series missing field '" +
-                             name + "'");
-  }
-  return it->second;
-}
-
-ParsedSeries parse_series_line(const std::string& line, int line_no) {
-  try {
-    const JsonValue value = JsonParser(line).parse();
-    ParsedSeries series;
-    series.name = field(value, "name").string;
-    for (const auto& [key, label] : field(value, "labels").object) {
-      series.labels[key] = label.string;
-    }
-    series.track = field(value, "track").string;
-    series.total_points =
-        static_cast<std::uint64_t>(field(value, "total_points").number);
-    series.evicted =
-        static_cast<std::uint64_t>(field(value, "evicted").number);
-    series.last = field(value, "last").number;
-    series.min = field(value, "min").number;
-    series.max = field(value, "max").number;
-    for (const JsonValue& point : field(value, "points").array) {
-      if (point.kind != JsonValue::Kind::kArray || point.array.size() != 2) {
-        throw std::runtime_error(
-            "timeseries_diff: point is not a [t_ms,value] pair");
-      }
-      series.points.emplace_back(point.array[0].number,
-                                 point.array[1].number);
-    }
-    return series;
-  } catch (const std::runtime_error& error) {
-    throw std::runtime_error("line " + std::to_string(line_no) + ": " +
-                             error.what());
-  }
+  return series;
 }
 
 std::string series_id(const ParsedSeries& series) {
@@ -228,77 +45,31 @@ std::string series_id(const ParsedSeries& series) {
   return id;
 }
 
-bool header_int(const std::string& line, const char* key,
-                std::int64_t* out) {
-  const std::string prefix = std::string("\"") + key + "\":";
-  if (line.rfind(prefix, 0) != 0) return false;
-  *out = std::strtoll(line.c_str() + prefix.size(), nullptr, 10);
-  return true;
-}
-
-bool within(double a, double b, const TimeseriesDiffOptions& options) {
-  const double band =
-      options.abs_tol +
-      options.rel_tol * std::max(std::fabs(a), std::fabs(b));
-  return std::fabs(a - b) <= band;
-}
-
 }  // namespace
 
 ParsedTimeseries parse_timeseries(const std::string& text) {
-  ParsedTimeseries parsed;
-  std::istringstream in(text);
-  std::string line;
-  int line_no = 0;
-  bool in_series = false;
-  std::int64_t number = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line == "{" || line == "}" || line == "]") continue;
-    if (!line.empty() && line.back() == ',') line.pop_back();
-    if (header_int(line, "vgrid_timeseries_version", &number)) {
-      parsed.version = static_cast<int>(number);
-      continue;
-    }
-    if (header_int(line, "interval_ms", &number)) {
-      parsed.interval_ms = number;
-      continue;
-    }
-    if (header_int(line, "ring_capacity", &number)) {
-      parsed.ring_capacity = static_cast<std::uint64_t>(number);
-      continue;
-    }
-    if (header_int(line, "samples", &number)) {
-      parsed.samples = static_cast<std::uint64_t>(number);
-      continue;
-    }
-    if (header_int(line, "evicted", &number)) {
-      parsed.evicted = static_cast<std::uint64_t>(number);
-      continue;
-    }
-    if (line == "\"series\":[") {
-      in_series = true;
-      continue;
-    }
-    if (!in_series) {
-      throw std::runtime_error("timeseries_diff: line " +
-                               std::to_string(line_no) +
-                               ": unexpected content before series");
-    }
-    parsed.series.push_back(parse_series_line(line, line_no));
+  const JsonValue root = parse_json(text);
+  const JsonValue& version = field(root, "vgrid_timeseries_version");
+  if (version.as_int() != 1) {
+    fail_at(version, "unsupported vgrid_timeseries_version " +
+                         std::to_string(version.integer));
   }
-  if (parsed.version != 1) {
-    throw std::runtime_error(
-        "timeseries_diff: unsupported or missing vgrid_timeseries_version "
-        "(got " + std::to_string(parsed.version) + ")");
+  ParsedTimeseries parsed;
+  parsed.version = 1;
+  parsed.interval_ms = field(root, "interval_ms").as_int();
+  parsed.ring_capacity =
+      static_cast<std::uint64_t>(field(root, "ring_capacity").as_int());
+  parsed.samples = static_cast<std::uint64_t>(field(root, "samples").as_int());
+  parsed.evicted = static_cast<std::uint64_t>(field(root, "evicted").as_int());
+  for (const JsonValue& series : field(root, "series").as_array()) {
+    parsed.series.push_back(parse_series(series));
   }
   return parsed;
 }
 
 std::vector<TimeseriesDifference> diff_timeseries(
     const ParsedTimeseries& a, const ParsedTimeseries& b,
-    const TimeseriesDiffOptions& options) {
+    const Tolerance& tolerance) {
   std::vector<TimeseriesDifference> differences;
   auto doc_note = [&](const std::string& detail) {
     differences.push_back({"(document)", detail});
@@ -334,12 +105,11 @@ std::vector<TimeseriesDifference> diff_timeseries(
     differences.push_back({series_id(series), detail});
   };
   auto compare_scalar = [&](const ParsedSeries& series,
-                            const std::string& what, double lhs,
-                            double rhs) {
-    if (within(lhs, rhs, options)) return;
+                            const std::string& what, std::int64_t lhs,
+                            std::int64_t rhs) {
+    if (tolerance.within(lhs, rhs)) return;
     std::ostringstream detail;
-    detail << what << " " << static_cast<std::int64_t>(lhs) << " vs "
-           << static_cast<std::int64_t>(rhs);
+    detail << what << " " << lhs << " vs " << rhs;
     note(series, detail.str());
   };
 
@@ -376,8 +146,7 @@ std::vector<TimeseriesDifference> diff_timeseries(
     }
     if (!timestamps_ok) continue;
     for (std::size_t i = 0; i < lhs->points.size(); ++i) {
-      if (!within(static_cast<double>(lhs->points[i].second),
-                  static_cast<double>(rhs.points[i].second), options)) {
+      if (!tolerance.within(lhs->points[i].second, rhs.points[i].second)) {
         std::ostringstream detail;
         detail << "point[" << i << "] (t_ms " << lhs->points[i].first
                << ") value " << lhs->points[i].second << " vs "
@@ -385,12 +154,9 @@ std::vector<TimeseriesDifference> diff_timeseries(
         note(*lhs, detail.str());
       }
     }
-    compare_scalar(*lhs, "last", static_cast<double>(lhs->last),
-                   static_cast<double>(rhs.last));
-    compare_scalar(*lhs, "min", static_cast<double>(lhs->min),
-                   static_cast<double>(rhs.min));
-    compare_scalar(*lhs, "max", static_cast<double>(lhs->max),
-                   static_cast<double>(rhs.max));
+    compare_scalar(*lhs, "last", lhs->last, rhs.last);
+    compare_scalar(*lhs, "min", lhs->min, rhs.min);
+    compare_scalar(*lhs, "max", lhs->max, rhs.max);
   }
   for (const auto& [id, rhs] : right) {
     if (left.find(id) == left.end()) {

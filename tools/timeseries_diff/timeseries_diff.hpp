@@ -5,11 +5,10 @@
 // contract, same tolerance semantics, specialized to the time-resolved
 // format.
 //
-// The parser is deliberately specialized to the export format (a versioned
-// header followed by one series object per line, sorted by
-// name/labels/track) rather than being a general JSON reader: the format
-// is produced by this repo only, and the line discipline makes positions
-// in error messages exact.
+// The export (a versioned header followed by one series object per line,
+// sorted by name/labels/track) is read as one JSON document by the shared
+// reader in tools/diff_common; this file only walks the parsed tree, so
+// every parse or schema error is line-qualified.
 //
 // Comparison semantics:
 //  - series present in only one export are always differences;
@@ -18,15 +17,17 @@
 //  - point COUNT per series must match exactly (a missing scrape is a
 //    determinism bug, not jitter), point timestamps must match exactly
 //    (sim time is logical), point VALUES compare within the band
-//    |a - b| <= abs_tol + rel_tol * max(|a|, |b|), as do the per-series
-//    last/min/max aggregates;
-//  - abs_tol = rel_tol = 0 (the default) demands byte-equal values — the
-//    determinism gate.
+//    |a - b| <= abs_tol + rel_tol * max(|a|, |b|) (tools::Tolerance), as
+//    do the per-series last/min/max aggregates;
+//  - abs_tol = rel_tol = 0 (the default) demands equal integers, exact at
+//    any magnitude — the determinism gate.
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
+
+#include "diff_common/diff_common.hpp"
 
 namespace vgrid::tools {
 
@@ -57,11 +58,6 @@ struct ParsedTimeseries {
 /// line-qualified message on malformed input.
 ParsedTimeseries parse_timeseries(const std::string& text);
 
-struct TimeseriesDiffOptions {
-  double abs_tol = 0.0;
-  double rel_tol = 0.0;
-};
-
 struct TimeseriesDifference {
   std::string series;  // "name{k=v,...}/track" ("(document)" for headers)
   std::string detail;  // human-readable mismatch description
@@ -71,6 +67,6 @@ struct TimeseriesDifference {
 /// means the exports agree.
 std::vector<TimeseriesDifference> diff_timeseries(
     const ParsedTimeseries& a, const ParsedTimeseries& b,
-    const TimeseriesDiffOptions& options);
+    const Tolerance& tolerance);
 
 }  // namespace vgrid::tools
