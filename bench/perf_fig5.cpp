@@ -6,7 +6,6 @@
 // ops/sec is "measured cells per second".
 
 #include "core/experiments.hpp"
-#include "core/runner.hpp"
 #include "perf_harness.hpp"
 
 namespace vgrid::perf {

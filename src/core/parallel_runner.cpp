@@ -27,7 +27,7 @@ stats::Summary ParallelRunner::measure(
     (void)fn(1.0);
   }
   // Preallocated slot per repetition: completion order cannot reorder the
-  // sample vector, so the Summary is bit-equal to the serial Runner's.
+  // sample vector, so the Summary is bit-equal to a serial loop's.
   std::vector<double> samples(
       static_cast<std::size_t>(config_.repetitions));
   pool_.run(

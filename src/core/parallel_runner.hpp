@@ -1,15 +1,15 @@
 #pragma once
-// Parallel repetition harness: same contract as core::Runner — measure
-// fn(scale) `repetitions` times and summarize — but repetitions execute
-// concurrently on a TaskPool of `config.jobs` workers. Results are
-// byte-identical to the serial Runner for every jobs value:
+// Repetition harness: measure fn(scale) `repetitions` times and summarize,
+// with the repetitions executing concurrently on a TaskPool of
+// `config.jobs` workers. Results are byte-identical to a serial loop over
+// the repetitions for every jobs value:
 //
 //  - repetition i draws its input scale from the forked RNG stream
 //    repetition_scale(config, call, i), a pure function of the config and
 //    indices (util::Rng::fork) — no shared RNG is consumed in a
 //    scheduling-dependent order;
 //  - each sample lands in preallocated slot i, so stats::summarize sees
-//    the exact same ordered vector as the serial path;
+//    the exact same ordered vector as a serial loop;
 //  - determinism-audit trace capture is reassembled in repetition order
 //    by the TaskPool.
 //
@@ -30,11 +30,11 @@ class ParallelRunner {
   explicit ParallelRunner(RunnerConfig config = {});
 
   /// Measure fn(scale) `repetitions` times on the worker pool. Warmup runs
-  /// execute serially on the calling thread and are discarded, as in
-  /// Runner. If `cancel` is non-null and becomes true mid-run, the pool
-  /// tears down (started repetitions finish, unstarted ones are skipped,
-  /// workers join) and a util::SimulationError is thrown; the runner
-  /// remains usable for subsequent measure() calls.
+  /// execute serially on the calling thread and are discarded. If
+  /// `cancel` is non-null and becomes true mid-run, the pool tears down
+  /// (started repetitions finish, unstarted ones are skipped, workers
+  /// join) and a util::SimulationError is thrown; the runner remains
+  /// usable for subsequent measure() calls.
   stats::Summary measure(const std::function<double(double scale)>& fn,
                          const std::atomic<bool>* cancel = nullptr);
 

@@ -1,12 +1,12 @@
 #pragma once
-// Repetition harness implementing the paper's measurement methodology:
-// every quantity is measured over repeated runs (the paper uses >= 50) on
-// varied inputs, and reported as a full statistical summary.
+// Repetition settings of the paper's measurement methodology: every
+// quantity is measured over repeated runs (the paper uses >= 50) on varied
+// inputs, and reported as a full statistical summary. core::ParallelRunner
+// executes them.
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 
-#include "stats/descriptive.hpp"
 #include "util/rng.hpp"
 
 namespace vgrid::core {
@@ -17,15 +17,15 @@ struct RunnerConfig {
   double input_jitter = 0.01;  ///< relative sigma of per-run input scaling
   std::uint64_t seed = 7777;
   bool tukey_outlier_filter = false;
-  /// Worker count for ParallelRunner: 1 = legacy serial execution,
-  /// 0 = one worker per hardware thread. The serial Runner ignores it.
-  /// Any value yields byte-identical results (deterministic seed
-  /// partitioning); jobs only changes wall-clock time.
+  /// Worker count for ParallelRunner: 1 = serial execution on the
+  /// calling thread, 0 = one worker per hardware thread. Any value yields
+  /// byte-identical results (deterministic seed partitioning); jobs only
+  /// changes wall-clock time.
   int jobs = 1;
 };
 
 /// Input-scale factor of repetition `repetition` within measure() call
-/// number `measure_call` of a Runner/ParallelRunner built from `config`.
+/// number `measure_call` of a ParallelRunner built from `config`.
 ///
 /// The RNG stream is partitioned two levels deep with util::Rng::fork:
 /// each measure() call gets stream fork(seed, call) — so two successive
@@ -34,25 +34,14 @@ struct RunnerConfig {
 /// each repetition gets its own sub-stream fork(call_stream, i), so the
 /// scale of repetition i is a pure function of (config, call, i) and does
 /// not depend on which worker executes it or in what order. This is what
-/// makes ParallelRunner byte-identical to the serial Runner.
-double repetition_scale(const RunnerConfig& config,
-                        std::uint64_t measure_call, int repetition) noexcept;
-
-class Runner {
- public:
-  explicit Runner(RunnerConfig config = {});
-
-  /// Measure fn(scale) `repetitions` times; `scale` models the run's input
-  /// variation (1.0 +- jitter, strictly positive). Returns the summary of
-  /// the returned values (typically seconds). Successive measure() calls
-  /// on one Runner use distinct jitter streams (see repetition_scale).
-  stats::Summary measure(const std::function<double(double scale)>& fn);
-
-  const RunnerConfig& config() const noexcept { return config_; }
-
- private:
-  RunnerConfig config_;
-  std::uint64_t measure_calls_ = 0;
-};
+/// makes ParallelRunner byte-identical for every jobs value.
+inline double repetition_scale(const RunnerConfig& config,
+                               std::uint64_t measure_call,
+                               int repetition) noexcept {
+  util::Rng rng =
+      util::Rng::fork(util::Rng::fork_seed(config.seed, measure_call),
+                      static_cast<std::uint64_t>(repetition));
+  return std::max(0.01, rng.normal(1.0, config.input_jitter));
+}
 
 }  // namespace vgrid::core

@@ -5,7 +5,7 @@
 
 #include "core/guest_perf.hpp"
 #include "core/host_impact.hpp"
-#include "core/runner.hpp"
+#include "core/parallel_runner.hpp"
 #include "core/scaled_program.hpp"
 #include "core/testbed.hpp"
 #include "util/error.hpp"
@@ -88,9 +88,10 @@ TEST(ScaledProgram, RejectsNonPositiveScale) {
 }
 
 // ---- Runner ------------------------------------------------------------------------
+// The repetition contract of ParallelRunner at its default, serial jobs=1.
 
 TEST(Runner, RunsRequestedRepetitions) {
-  Runner runner(fast_runner());
+  ParallelRunner runner(fast_runner());
   int calls = 0;
   const stats::Summary summary = runner.measure([&](double) {
     ++calls;
@@ -105,7 +106,7 @@ TEST(Runner, JitterVariesScale) {
   RunnerConfig config;
   config.repetitions = 20;
   config.input_jitter = 0.05;
-  Runner runner(config);
+  ParallelRunner runner(config);
   std::vector<double> scales;
   (void)runner.measure([&](double scale) {
     scales.push_back(scale);
@@ -120,7 +121,7 @@ TEST(Runner, WarmupRunsAreDiscarded) {
   RunnerConfig config;
   config.repetitions = 2;
   config.warmup = 3;
-  Runner runner(config);
+  ParallelRunner runner(config);
   int calls = 0;
   const stats::Summary summary = runner.measure([&](double) {
     ++calls;
@@ -133,7 +134,7 @@ TEST(Runner, WarmupRunsAreDiscarded) {
 TEST(Runner, RejectsZeroRepetitions) {
   RunnerConfig config;
   config.repetitions = 0;
-  EXPECT_THROW(Runner{config}, util::ConfigError);
+  EXPECT_THROW(ParallelRunner{config}, util::ConfigError);
 }
 
 // ---- GuestPerfExperiment --------------------------------------------------------------

@@ -20,6 +20,7 @@
 #include "sim/event_queue.hpp"
 #include "util/audit.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "vmm/profile.hpp"
 #include "workloads/sevenzip/bench7z.hpp"
 

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <ostream>
 #include <set>
 #include <string>
@@ -18,6 +19,7 @@
 #include "core/experiments.hpp"
 #include "core/parallel_runner.hpp"
 #include "core/runner.hpp"
+#include "stats/descriptive.hpp"
 #include "core/task_pool.hpp"
 #include "core/testbed.hpp"
 #include "obs/context.hpp"
@@ -32,6 +34,23 @@
 
 namespace vgrid {
 namespace {
+
+/// The independent serial oracle for ParallelRunner: the repetition
+/// methodology spelled out as a plain loop over repetition_scale for
+/// measure() call number `call` — warmup runs discarded, the Tukey filter
+/// applied when configured.
+stats::Summary serial_measure(const core::RunnerConfig& config,
+                              std::uint64_t call,
+                              const std::function<double(double)>& fn) {
+  for (int i = 0; i < config.warmup; ++i) (void)fn(1.0);
+  std::vector<double> samples;
+  for (int i = 0; i < config.repetitions; ++i) {
+    samples.push_back(fn(core::repetition_scale(config, call, i)));
+  }
+  return stats::summarize(config.tukey_outlier_filter
+                              ? stats::tukey_filter(samples)
+                              : samples);
+}
 
 // ---- seed partitioning ------------------------------------------------------
 
@@ -60,7 +79,7 @@ TEST(RepetitionScale, PureFunctionOfConfigCallAndIndex) {
     EXPECT_GT(scale, 0.0);
     EXPECT_EQ(scale, core::repetition_scale(config, 0, i));
   }
-  // Distinct calls draw from distinct forked streams (the Runner::measure
+  // Distinct calls draw from distinct forked streams (the measure()
   // correlated-jitter fix): the sequences must not repeat.
   bool any_differs = false;
   for (int i = 0; i < 16; ++i) {
@@ -73,12 +92,12 @@ TEST(RepetitionScale, PureFunctionOfConfigCallAndIndex) {
 }
 
 TEST(RepetitionScale, SuccessiveMeasureCallsAreDecorrelated) {
-  // A Runner's two measure() calls must see different jitter sequences;
+  // A runner's two measure() calls must see different jitter sequences;
   // they used to re-seed from config_.seed each call and repeat the exact
   // same scales.
   core::RunnerConfig config;
   config.repetitions = 8;
-  core::Runner runner(config);
+  core::ParallelRunner runner(config);
   std::vector<double> first, second;
   runner.measure([&](double scale) {
     first.push_back(scale);
@@ -92,7 +111,7 @@ TEST(RepetitionScale, SuccessiveMeasureCallsAreDecorrelated) {
   EXPECT_NE(first, second);
 }
 
-// ---- ParallelRunner == Runner ----------------------------------------------
+// ---- ParallelRunner == the serial oracle ------------------------------------
 
 std::string summary_hex(const stats::Summary& summary) {
   return util::format("n=%zu mean=%a sd=%a min=%a max=%a med=%a p25=%a "
@@ -108,8 +127,7 @@ TEST(ParallelRunner, ByteIdenticalToSerialRunnerForEveryJobsValue) {
   config.warmup = 2;
   config.tukey_outlier_filter = true;
   const auto fn = [](double scale) { return 3.5 * scale * scale + 0.25; };
-  core::Runner serial(config);
-  const std::string expected = summary_hex(serial.measure(fn));
+  const std::string expected = summary_hex(serial_measure(config, 0, fn));
   for (const int jobs : {1, 2, 8, 0}) {
     core::RunnerConfig parallel_config = config;
     parallel_config.jobs = jobs;
@@ -120,17 +138,16 @@ TEST(ParallelRunner, ByteIdenticalToSerialRunnerForEveryJobsValue) {
 }
 
 TEST(ParallelRunner, CallCounterStaysInLockstepWithSerialRunner) {
-  // Three successive measure() calls advance the fork stream identically
-  // on both harnesses.
+  // Three successive measure() calls advance the fork stream in lockstep
+  // with the serial oracle's call index.
   core::RunnerConfig config;
   config.repetitions = 9;
-  core::Runner serial(config);
   config.jobs = 4;
   core::ParallelRunner parallel(config);
   const auto fn = [](double scale) { return 1.0 / scale; };
-  for (int call = 0; call < 3; ++call) {
+  for (std::uint64_t call = 0; call < 3; ++call) {
     EXPECT_EQ(summary_hex(parallel.measure(fn)),
-              summary_hex(serial.measure(fn)))
+              summary_hex(serial_measure(config, call, fn)))
         << "call " << call;
   }
 }
@@ -219,13 +236,10 @@ TEST(ParallelRunner, CancellationMidRunThrowsAndLeavesRunnerUsable) {
   // accepts the next measure() as if the cancelled call never happened...
   const stats::Summary summary = runner.measure([](double s) { return s; });
   EXPECT_EQ(summary.count, 64u);
-  // ...except the call counter advanced, as for any completed call.
-  core::RunnerConfig serial_config = config;
-  serial_config.jobs = 1;
-  core::Runner reference(serial_config);
-  reference.measure([](double s) { return s; });
-  reference.measure([](double s) { return s; });
-  const stats::Summary third = reference.measure([](double s) { return s; });
+  // ...except the call counter advanced, as for any completed call: the
+  // next call is the third.
+  const stats::Summary third =
+      serial_measure(config, 2, [](double s) { return s; });
   EXPECT_EQ(summary_hex(runner.measure([](double s) { return s; })),
             summary_hex(third));
 }

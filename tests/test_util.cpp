@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "util/cli_args.hpp"
@@ -256,13 +257,17 @@ TEST(Logging, LevelGate) {
 // ---- Args (CLI flag parser) ----------------------------------------------------
 
 namespace {
+constexpr const char* kSynopsis =
+    "[fig1..fig8] [--reps N] [--env NAME] [--ratio R] [--hosts N] "
+    "[--count N] [--empty X] [--no-checkpoint] [--verbose] [--dry]";
+
 Args parse(std::initializer_list<const char*> tokens) {
   std::vector<char*> argv;
   argv.push_back(const_cast<char*>("prog"));
   for (const char* token : tokens) {
     argv.push_back(const_cast<char*>(token));
   }
-  return Args(static_cast<int>(argv.size()), argv.data());
+  return Args(kSynopsis, static_cast<int>(argv.size()), argv.data());
 }
 }  // namespace
 
@@ -271,7 +276,7 @@ TEST(Args, PositionalsAndFlagsSeparated) {
   ASSERT_EQ(args.positional().size(), 2u);
   EXPECT_EQ(args.positional()[0], "fig1");
   EXPECT_EQ(args.positional()[1], "fig2");
-  EXPECT_EQ(args.get_long("reps", 0), 10);
+  EXPECT_EQ(args.get_count<int>("reps", 0), 10);
 }
 
 TEST(Args, EqualsSyntax) {
@@ -284,28 +289,57 @@ TEST(Args, BooleanFlag) {
   const Args args = parse({"--no-checkpoint", "--verbose"});
   EXPECT_TRUE(args.has("no-checkpoint"));
   EXPECT_TRUE(args.has("verbose"));
-  EXPECT_FALSE(args.has("missing"));
+  EXPECT_FALSE(args.has("dry"));
 }
 
 TEST(Args, BooleanFlagFollowedByFlag) {
   const Args args = parse({"--dry", "--reps", "5"});
   EXPECT_TRUE(args.has("dry"));
-  EXPECT_EQ(args.get("dry"), "");
-  EXPECT_EQ(args.get_long("reps", 0), 5);
+  EXPECT_EQ(args.get_count<int>("reps", 0), 5);
+}
+
+TEST(Args, BooleanFlagNeverTakesAValue) {
+  // The word after a boolean flag is a positional, never its value.
+  const Args args = parse({"--verbose", "fig1", "--reps", "1"});
+  EXPECT_TRUE(args.has("verbose"));
+  ASSERT_EQ(args.positional().size(), 1u);
+  EXPECT_EQ(args.positional()[0], "fig1");
+  // "--bool=value" is a usage error, and reading a boolean as a value is
+  // a programming error.
+  EXPECT_THROW(parse({"--verbose=yes"}), UsageError);
+  EXPECT_THROW((void)args.get("verbose"), std::logic_error);
+}
+
+TEST(Args, RejectsUndeclaredAndRepeatedFlags) {
+  EXPECT_THROW(parse({"--hostz", "5"}), UsageError);
+  EXPECT_THROW(parse({"--reps", "8", "--reps", "1"}), UsageError);
+  EXPECT_THROW(parse({"--verbose", "--verbose"}), UsageError);
+  // A value flag with no value: at the end, or followed by another flag.
+  EXPECT_THROW(parse({"--reps"}), UsageError);
+  EXPECT_THROW(parse({"--reps", "--verbose"}), UsageError);
+  // Reading a flag the synopsis does not declare throws, so a synopsis
+  // cannot drift from the code that reads it.
+  const Args args = parse({});
+  EXPECT_THROW((void)args.has("missing"), std::logic_error);
+  EXPECT_THROW((void)args.get_count("missing", 1), std::logic_error);
 }
 
 TEST(Args, FallbacksOnMissingOrMalformed) {
   // Absent flags fall back; a present flag that does not parse in full is
-  // a ConfigError, never a silent fallback or a truncated prefix.
-  const Args args = parse({"--count", "notanumber", "--hosts", "100k",
+  // a ConfigError, never a silent fallback or a truncated prefix, and a
+  // count rejects a negative value instead of wrapping it to 2^64 - N.
+  const Args args = parse({"--count", "notanumber", "--hosts", "-5",
                            "--ratio", "2.5x", "--empty="});
-  EXPECT_THROW(args.get_long("count", 7), ConfigError);
-  EXPECT_THROW(args.get_long("hosts", 7), ConfigError);
+  EXPECT_THROW(args.get_count("count", 7), ConfigError);
+  EXPECT_THROW(args.get_count("hosts", 7), ConfigError);
   EXPECT_THROW(args.get_double("ratio", 1.0), ConfigError);
-  EXPECT_THROW(args.get_long("empty", 7), ConfigError);
-  EXPECT_EQ(args.get_long("absent", 9), 9);
-  EXPECT_DOUBLE_EQ(args.get_double("absent", 1.5), 1.5);
-  EXPECT_FALSE(args.get("absent").has_value());
+  EXPECT_THROW(args.get_count("empty", 7), ConfigError);
+  EXPECT_EQ(args.get_count<int>("reps", 9), 9);
+  EXPECT_DOUBLE_EQ(args.get_double("env", 1.5), 1.5);
+  EXPECT_FALSE(args.get("env").has_value());
+  EXPECT_EQ(parse({"--hosts", "100000"}).get_count("hosts", 0), 100000u);
+  EXPECT_THROW(parse({"--hosts", "4294967296"}).get_count<int>("hosts", 0),
+               ConfigError);
 }
 
 // ---- errors -----------------------------------------------------------------

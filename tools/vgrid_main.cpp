@@ -1,78 +1,18 @@
-// vgrid — command-line front end of the library.
-//
-// Every figure-running command accepts --scenario NAME|FILE (default: the
-// embedded `paper` testbed; `vgrid scenarios` lists the built-ins).
-//
-//   vgrid figures   [--scenario S] [--reps N] [--jobs N]
-//                   [--metrics-out FILE] [fig1..fig8]
-//   vgrid metrics   [fig1..fig8] [--scenario S] [--reps N] [--jobs N]
-//                   [--format json|prom] [--out FILE]
-//   vgrid guest     <7z|matrix|iobench|netbench> [--scenario S] [--env NAME]
-//                   [--reps N]
-//   vgrid host      [--scenario S] [--env NAME] [--threads N]
-//                   [--priority idle|normal|high] [--vms N] [--reps N]
-//                   [--jobs N]
-//   vgrid suite     [--iterations N]              native NBench suite
-//   vgrid compress  <input> <output>              real LZMA-family codec
-//   vgrid decompress <input> <output>
-//   vgrid deploy    [--volunteers N] [--image-mb M]
-//   vgrid churn     [--workunit-hours H] [--session-hours H] [--no-checkpoint]
-//   vgrid migrate   [--ram-mb M] [--dirty-mbps R]
-//   vgrid profiles                               list hypervisor profiles
-//   vgrid scenarios [--show NAME|FILE]           list / print scenarios
-//   vgrid profile   [fig1..fig8] [--scenario S] [--reps N] [--jobs N]
-//                   [--top N] [--out FILE] [--folded FILE]
-//                   run one figure with the wall-clock profiler installed
-//                   and print the top-N exclusive-time table; --out writes
-//                   the canonical JSON tree, --folded a flamegraph.pl /
-//                   speedscope folded-stack file
-//   vgrid bench     [--quick] [--jobs N] [--scenario S] [--out FILE]
-//                   run the macro-benchmark suite and write the canonical
-//                   BENCH_vgrid.json (compare runs with tools/bench_diff)
-//   vgrid determinism-audit [fig1..fig8|fleet] [--scenario S] [--reps N]
-//                   [--seed S] [--jobs N] [--profile]
-//                   run a figure twice with the same seed — serially, then
-//                   on N workers — and byte-diff the two result+trace
-//                   streams (exit 1 on divergence); --profile keeps the
-//                   wall-clock profiler installed during both runs to prove
-//                   profiling never perturbs the byte stream
-//   vgrid fleet     [--hosts N] [--jobs J] [--scenario S] [--seed S]
-//                   [--out FILE] [--metrics-out FILE] [--selfcheck]
-//                   [--inject-bug B]
-//                   sample N host configurations from the scenario's
-//                   [fleet] distributions, simulate one workunit per host
-//                   and print the canonical percentile summary — byte-
-//                   identical for any --jobs value (src/fleet)
-//   vgrid trace     [fleet|grid] [--max N] [--anomalous] [--out FILE]
-//                   render per-workunit lifecycle timelines from the
-//                   obs::EventLog journal (fleet: every simulated host;
-//                   grid: an in-process scripted protocol run with
-//                   volunteer deaths); --out writes a Chrome trace whose
-//                   flow arrows link each event to its causal parent
-//   vgrid tails     [fleet|grid] [--selfcheck]
-//                   decompose turnaround percentiles into queue-wait /
-//                   compute / validation / retry components and print
-//                   the wasted-work ledger (gigaops lost to deaths and
-//                   reissues, by VMM profile); --selfcheck reconciles
-//                   the journal against the independent turnaround
-//                   histogram with exact integer arithmetic
-//   vgrid mc        [--clients N] [--workunits W] [--replication R]
-//                   [--quorum Q] [--deaths K] [--max-depth D]
-//                   [--max-states N] [--inject-fault F] [--no-dpor]
-//                   [--no-state-cache] [--trace-out FILE]
-//                   [--min-interleavings N] [--replay FILE]
-//                   exhaustively explore the grid protocol's interleavings
-//                   (model checker, src/mc); exit 1 on an invariant
-//                   violation — the violating schedule is replayable via
-//                   --replay
+// vgrid — command-line front end of the library. Every command, the flags
+// it declares and a line of help live in one table, kCommands at the end
+// of this file; `vgrid` with no arguments prints the usage generated from
+// it.
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -121,110 +61,45 @@ namespace {
 
 using util::Args;
 
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: vgrid <command> [options]\n"
-      "(figure-running commands accept --scenario NAME|FILE; default "
-      "`paper`)\n"
-      "  figures    [--scenario S] [--reps N] [--jobs N] [--metrics-out "
-      "FILE]\n"
-      "             [fig1..fig8]\n"
-      "  metrics    [fig1..fig8] [--scenario S] [--reps N] [--jobs N]\n"
-      "             [--format json|prom] [--out FILE]\n"
-      "  guest      <7z|matrix|iobench|netbench> [--scenario S] [--env "
-      "NAME]\n"
-      "             [--reps N]\n"
-      "  host       [--scenario S] [--env NAME] [--threads N]\n"
-      "             [--priority idle|normal|high] [--vms N] [--os xp|linux]\n"
-      "             [--reps N] [--jobs N]\n"
-      "  suite      [--iterations N]          run the native NBench suite\n"
-      "  compress   <input> <output>          compress a real file\n"
-      "  decompress <input> <output>\n"
-      "  deploy     [--volunteers N] [--image-mb M]\n"
-      "  churn      [--workunit-hours H] [--session-hours H] "
-      "[--no-checkpoint]\n"
-      "  migrate    [--ram-mb M] [--dirty-mbps R]\n"
-      "  timeline   [--scenario S] [--env NAME] [--threads N] [--os "
-      "xp|linux]\n"
-      "             [--out trace.json]        trace the Fig. 7 sweep\n"
-      "  profiles   [--scenario S]            list hypervisor profiles\n"
-      "  scenarios  [--show NAME|FILE]        list built-in scenarios /\n"
-      "             print one in canonical form with its content hash\n"
-      "  profile    [fig1..fig8] [--scenario S] [--reps N] [--jobs N]\n"
-      "             [--top N] [--out FILE] [--folded FILE]\n"
-      "             profile one figure run; top-N self-time table, JSON\n"
-      "             tree (--out), folded stacks for flamegraph.pl "
-      "(--folded)\n"
-      "  bench      [--quick] [--jobs N] [--scenario S] [--out FILE]\n"
-      "             macro-benchmark suite -> canonical BENCH_vgrid.json\n"
-      "  fleet      [--hosts N] [--jobs J] [--scenario S] [--seed S]\n"
-      "             [--out FILE] [--metrics-out FILE] [--selfcheck]\n"
-      "             [--inject-bug percentile_off_by_one|dropped_shard]\n"
-      "             population-scale run: sample N hosts from the\n"
-      "             scenario's [fleet] distributions (default scenario\n"
-      "             fleet-small), simulate one workunit each, print the\n"
-      "             canonical percentile summary (jobs-independent)\n"
-      "  timeseries [fig1..fig8|fleet] [--interval MS] [--points N]\n"
-      "             [--out FILE] [--scenario S] [--jobs N]\n"
-      "             run with the deterministic sim-time sampler installed\n"
-      "             and export the canonical timeseries JSON (--out adds\n"
-      "             .csv and gnuplot .dat/.gp tracks); byte-identical for\n"
-      "             any --jobs value\n"
-      "  watch      [fleet|grid] [--no-progress] [fleet flags |\n"
-      "             --workunits W --clients C]\n"
-      "             live progress view on stderr: fleet shard completion\n"
-      "             (hosts/s, turnaround p50/p99 so far) or a real grid\n"
-      "             server polled via the SCRAPE message (rolling RPC\n"
-      "             p50/p99); stdout keeps the canonical summary\n"
-      "  trace      [fleet|grid] [--max N] [--anomalous] [--out FILE]\n"
-      "             fleet: [--hosts N] [--jobs J] [--seed S] [--ring N]\n"
-      "             grid:  [--workunits W] [--clients C] [--replication R]\n"
-      "                    [--deaths K]\n"
-      "             render per-workunit lifecycle timelines from the\n"
-      "             obs::EventLog journal; --out writes a Chrome trace\n"
-      "             with causal flow arrows\n"
-      "  tails      [fleet|grid] [--selfcheck] [same flags as trace]\n"
-      "             decompose turnaround percentiles into queue-wait/\n"
-      "             compute/validation/retry + the wasted-work ledger;\n"
-      "             --selfcheck reconciles the journal against the\n"
-      "             independent turnaround histogram\n"
-      "  mc         [--clients N] [--workunits W] [--replication R]\n"
-      "             [--quorum Q] [--deaths K] [--max-depth D]\n"
-      "             [--max-states N] [--inject-fault "
-      "none|double_credit|lost_workunit]\n"
-      "             [--no-dpor] [--no-state-cache] [--trace-out FILE]\n"
-      "             [--min-interleavings N] [--replay FILE]\n"
-      "             model-check the grid protocol's interleavings\n"
-      "  determinism-audit [fig1..fig8|fleet] [--scenario S] [--reps N]\n"
-      "             [--seed S] [--jobs N] [--metrics-only] [--profile]\n"
-      "             [--eventlog] [--timeseries]\n"
-      "             same-seed serial vs N-worker run, byte-diff results,\n"
-      "             traces, and metric snapshots (--profile: with the\n"
-      "             profiler installed; --eventlog: the lifecycle journal\n"
-      "             joins the byte-diffed stream); the fleet target\n"
-      "             byte-diffs the fleet summary + metrics snapshot\n"
-      "             across --jobs {1,N}\n");
-  return 2;
+/// --scenario NAME|FILE, default the embedded `paper` (`fleet-small` for
+/// the fleet commands). Malformed input throws util::ConfigError with a
+/// "<source>:<line>:" diagnostic, which main() reports on stderr with a
+/// nonzero exit.
+scenario::Scenario scenario_from(const Args& args,
+                                 const char* fallback = "paper") {
+  return scenario::load(args.get_or("scenario", fallback));
 }
 
-/// --scenario NAME|FILE, default the embedded `paper`. Malformed input
-/// throws util::ConfigError with a "<source>:<line>:" diagnostic, which
-/// main() reports on stderr with a nonzero exit.
-scenario::Scenario scenario_from(const Args& args) {
-  return scenario::load(args.get_or("scenario", "paper"));
-}
-
+/// The scenario's repetition settings, overridden by --reps (default
+/// `reps`, else the scenario's own) and --jobs.
 core::RunnerConfig runner_config(const Args& args,
-                                 const scenario::Scenario& scenario) {
+                                 const scenario::Scenario& scenario,
+                                 std::optional<int> reps = std::nullopt) {
   core::RunnerConfig runner = core::figure_runner_config(scenario);
   runner.repetitions =
-      static_cast<int>(args.get_long("reps", runner.repetitions));
+      args.get_count<int>("reps", reps.value_or(runner.repetitions));
   // 0 = one worker per hardware thread; results are byte-identical for
   // any jobs value (see core/task_pool.hpp), so defaulting to parallel
   // is safe even for the audit-style commands.
-  runner.jobs = static_cast<int>(args.get_long("jobs", 0));
+  runner.jobs = args.get_count<int>("jobs", 0);
   return runner;
+}
+
+/// The scenario's profiles that --env NAME selects: NAME's alone, or all
+/// of them when the flag is absent. An unknown NAME is a usage error.
+std::vector<const vmm::VmmProfile*> env_profiles(
+    const Args& args, const scenario::Scenario& scenario) {
+  std::vector<const vmm::VmmProfile*> selected;
+  if (const auto env = args.get("env")) {
+    const vmm::VmmProfile* profile = scenario.profile_by_name(*env);
+    if (profile == nullptr) {
+      throw util::UsageError("unknown environment '" + *env + "'");
+    }
+    selected.push_back(profile);
+  } else {
+    for (const auto& profile : scenario.profiles) selected.push_back(&profile);
+  }
+  return selected;
 }
 
 /// Pin the scenario's identity into a snapshot: a constant gauge whose
@@ -239,26 +114,36 @@ void record_scenario_info(obs::Registry& registry,
       .set(1);
 }
 
+/// The registry snapshot as FILE (JSON) and FILE.prom (Prometheus).
+void write_metrics(const obs::Registry& registry, const std::string& path) {
+  obs::write_snapshot(registry, path);
+  std::printf("metrics written to %s (JSON) and %s.prom (Prometheus)\n",
+              path.c_str(), path.c_str());
+}
+
 /// One row per scenario-aware figure function, shared by `figures`,
 /// `metrics` and `determinism-audit`.
 using ScenarioFigureFn = core::FigureResult (*)(const scenario::Scenario&,
                                                 core::RunnerConfig);
 
+struct Figure {
+  const char* id;
+  ScenarioFigureFn fn;
+};
+
+constexpr Figure kFigures[] = {
+    {"fig1", core::fig1_7z},            {"fig2", core::fig2_matrix},
+    {"fig3", core::fig3_iobench},       {"fig4", core::fig4_netbench},
+    {"fig5", core::fig5_mem_index},     {"fig6", core::fig6_int_fp_index},
+    {"fig7", core::fig7_cpu_available}, {"fig8", core::fig8_mips_ratio},
+};
+
+/// An unknown id is a usage error.
 ScenarioFigureFn figure_fn(const std::string& id) {
-  struct Entry {
-    const char* id;
-    ScenarioFigureFn fn;
-  };
-  static constexpr Entry kFigures[] = {
-      {"fig1", core::fig1_7z},            {"fig2", core::fig2_matrix},
-      {"fig3", core::fig3_iobench},       {"fig4", core::fig4_netbench},
-      {"fig5", core::fig5_mem_index},     {"fig6", core::fig6_int_fp_index},
-      {"fig7", core::fig7_cpu_available}, {"fig8", core::fig8_mips_ratio},
-  };
-  for (const Entry& entry : kFigures) {
-    if (id == entry.id) return entry.fn;
+  for (const Figure& figure : kFigures) {
+    if (id == figure.id) return figure.fn;
   }
-  return nullptr;
+  throw util::UsageError("no such figure '" + id + "'; use fig1..fig8");
 }
 
 void print_figure(const core::FigureResult& figure) {
@@ -275,9 +160,6 @@ void print_figure(const core::FigureResult& figure) {
 int cmd_figures(const Args& args) {
   const scenario::Scenario scenario = scenario_from(args);
   const core::RunnerConfig runner = runner_config(args, scenario);
-  static constexpr const char* kFigureIds[] = {
-      "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-  };
   const auto& wanted = args.positional();
   // --metrics-out FILE: collect the obs registry snapshot across every
   // selected figure and drop the canonical JSON (plus FILE.prom) next to
@@ -293,24 +175,17 @@ int cmd_figures(const Args& args) {
   {
     obs::ScopedRegistry metrics_scope(
         metrics_out.empty() ? nullptr : &registry);
-    for (const char* id : kFigureIds) {
-      const bool selected =
-          wanted.empty() ||
-          std::find(wanted.begin(), wanted.end(), id) != wanted.end();
-      if (!selected) continue;
+    for (const Figure& figure : kFigures) {
+      if (!wanted.empty() && std::find(wanted.begin(), wanted.end(),
+                                       figure.id) == wanted.end()) {
+        continue;
+      }
       any = true;
-      print_figure(figure_fn(id)(scenario, runner));
+      print_figure(figure.fn(scenario, runner));
     }
   }
-  if (!any) {
-    std::fprintf(stderr, "no such figure; use fig1..fig8\n");
-    return 2;
-  }
-  if (!metrics_out.empty()) {
-    obs::write_snapshot(registry, metrics_out);
-    std::printf("metrics written to %s (JSON) and %s.prom (Prometheus)\n",
-                metrics_out.c_str(), metrics_out.c_str());
-  }
+  if (!any) throw util::UsageError("no such figure; use fig1..fig8");
+  if (!metrics_out.empty()) write_metrics(registry, metrics_out);
   return 0;
 }
 
@@ -322,16 +197,12 @@ int cmd_figures(const Args& args) {
 
 int cmd_metrics(const Args& args) {
   const scenario::Scenario scenario = scenario_from(args);
-  core::RunnerConfig runner = core::figure_runner_config(scenario);
-  runner.repetitions = static_cast<int>(args.get_long("reps", 3));
-  runner.jobs = static_cast<int>(args.get_long("jobs", 0));
-  runner.seed = static_cast<std::uint64_t>(
-      args.get_long("seed", static_cast<long>(runner.seed)));
+  core::RunnerConfig runner = runner_config(args, scenario, 3);
+  runner.seed = args.get_count("seed", runner.seed);
   const std::string format = args.get_or("format", "json");
   if (format != "json" && format != "prom") {
-    std::fprintf(stderr, "unknown --format '%s'; use json or prom\n",
-                 format.c_str());
-    return 2;
+    throw util::UsageError("unknown --format '" + format +
+                           "'; use json or prom");
   }
   const auto& wanted =
       args.positional().empty() ? std::vector<std::string>{"fig5"}
@@ -342,20 +213,12 @@ int cmd_metrics(const Args& args) {
   {
     obs::ScopedRegistry metrics_scope(&registry);
     for (const std::string& id : wanted) {
-      ScenarioFigureFn fn = figure_fn(id);
-      if (fn == nullptr) {
-        std::fprintf(stderr, "no such figure '%s'; use fig1..fig8\n",
-                     id.c_str());
-        return 2;
-      }
-      (void)fn(scenario, runner);
+      (void)figure_fn(id)(scenario, runner);
     }
   }
   const std::string out_path = args.get_or("out", "");
   if (!out_path.empty()) {
-    obs::write_snapshot(registry, out_path);
-    std::printf("metrics written to %s (JSON) and %s.prom (Prometheus)\n",
-                out_path.c_str(), out_path.c_str());
+    write_metrics(registry, out_path);
     return 0;
   }
   const std::string body = format == "prom" ? registry.snapshot_prometheus()
@@ -365,10 +228,11 @@ int cmd_metrics(const Args& args) {
 }
 
 int cmd_guest(const Args& args) {
-  if (args.positional().empty()) return usage();
+  if (args.positional().empty()) throw util::UsageError("missing workload");
   const std::string workload = args.positional()[0];
   const scenario::Scenario scenario = scenario_from(args);
   const core::RunnerConfig runner = runner_config(args, scenario);
+  const auto profiles = env_profiles(args, scenario);
   const scenario::Workloads& budgets = scenario.workloads;
 
   core::GuestPerfExperiment::ProgramFactory factory;
@@ -392,18 +256,15 @@ int cmd_guest(const Args& args) {
     config.stream_bytes = budgets.net_stream_bytes;
     factory = [config] { return workloads::NetBench(config).make_program(); };
   } else {
-    std::fprintf(stderr, "unknown workload '%s'\n", workload.c_str());
-    return 2;
+    throw util::UsageError("unknown workload '" + workload + "'");
   }
 
   core::GuestPerfExperiment experiment(factory, scenario, runner);
   report::Table table("Guest slowdown for " + workload +
                       " (1.0 = native)");
   table.set_header({"environment", "slowdown"});
-  const auto env = args.get("env");
-  for (const auto& profile : scenario.profiles) {
-    if (env && profile.name != *env) continue;
-    table.add_row(profile.name, {experiment.slowdown(profile)});
+  for (const vmm::VmmProfile* profile : profiles) {
+    table.add_row(profile->name, {experiment.slowdown(*profile)});
   }
   std::printf("%s", table.ascii().c_str());
   return 0;
@@ -419,10 +280,10 @@ int cmd_host(const Args& args) {
   if (const auto os_flag = args.get("os")) {
     config.host_os = scenario::parse_host_os(*os_flag);
   }
-  const int threads = static_cast<int>(
-      args.get_long("threads", scenario.sweep.sevenzip_threads.back()));
-  const int vms =
-      static_cast<int>(args.get_long("vms", config.vm_count));
+  const int threads =
+      args.get_count<int>("threads", scenario.sweep.sevenzip_threads.back());
+  const int vms = args.get_count<int>("vms", config.vm_count);
+  const auto profiles = env_profiles(args, scenario);
   core::HostImpactExperiment experiment(config);
 
   report::Table table(util::format(
@@ -433,11 +294,9 @@ int cmd_host(const Args& args) {
   table.set_header({"environment", "%CPU", "MIPS ratio"});
   const auto baseline = experiment.run_7z(threads, nullptr);
   table.add_row("no-vm", {baseline.cpu_percent, 1.0});
-  const auto env = args.get("env");
-  for (const auto& profile : scenario.profiles) {
-    if (env && profile.name != *env) continue;
-    const auto metrics = experiment.run_7z(threads, &profile, vms);
-    table.add_row(profile.name,
+  for (const vmm::VmmProfile* profile : profiles) {
+    const auto metrics = experiment.run_7z(threads, profile, vms);
+    table.add_row(profile->name,
                   {metrics.cpu_percent, metrics.mips / baseline.mips});
   }
   std::printf("%s", table.ascii().c_str());
@@ -446,8 +305,7 @@ int cmd_host(const Args& args) {
 
 int cmd_suite(const Args& args) {
   workloads::nbench::SuiteConfig config;
-  config.iterations =
-      static_cast<std::uint64_t>(args.get_long("iterations", 2));
+  config.iterations = args.get_count("iterations", 2);
   const auto suite = workloads::nbench::run_suite(config);
   report::Table table("NBench suite (native, this machine)");
   table.set_header({"kernel", "index", "iterations/s"});
@@ -479,8 +337,8 @@ void write_file(const std::string& path,
   if (!out) throw util::SystemError("write failed: " + path, errno);
 }
 
-int cmd_compress(const Args& args, bool decompress) {
-  if (args.positional().size() != 2) return usage();
+int compress_file(const Args& args, bool decompress) {
+  if (args.positional().size() != 2) throw util::UsageError("needs 2 paths");
   const auto input = read_file(args.positional()[0]);
   std::vector<std::uint8_t> output;
   if (decompress) {
@@ -499,13 +357,12 @@ int cmd_compress(const Args& args, bool decompress) {
 
 int cmd_deploy(const Args& args) {
   grid::DeploymentConfig config;
-  config.volunteers = static_cast<int>(args.get_long("volunteers", 100));
-  config.image_bytes = static_cast<std::uint64_t>(
-                           args.get_long("image-mb", 1400)) *
-                       1000 * 1000;
+  config.volunteers = args.get_count<int>("volunteers", 100);
+  const std::uint64_t image_mb = args.get_count("image-mb", 1400);
+  config.image_bytes = image_mb * 1000 * 1000;
   report::Table table(util::format(
-      "Deploying a %ld MB image to %d volunteers",
-      args.get_long("image-mb", 1400), config.volunteers));
+      "Deploying a %llu MB image to %d volunteers",
+      static_cast<unsigned long long>(image_mb), config.volunteers));
   table.set_header({"strategy", "makespan (h)", "server GB sent"});
   for (const auto& estimate : grid::compare_strategies(config)) {
     table.add_row({to_string(estimate.strategy),
@@ -542,9 +399,7 @@ int cmd_churn(const Args& args) {
 
 int cmd_migrate(const Args& args) {
   vmm::MigrationConfig config;
-  config.ram_bytes = static_cast<std::uint64_t>(
-                         args.get_long("ram-mb", 300)) *
-                     1024 * 1024;
+  config.ram_bytes = args.get_count("ram-mb", 300) * 1024 * 1024;
   config.dirty_rate_bps = args.get_double("dirty-mbps", 2.0) * 1e6;
   const auto cold = vmm::estimate_cold_migration(config);
   const auto live = vmm::estimate_live_migration(config);
@@ -565,13 +420,8 @@ int cmd_timeline(const Args& args) {
   if (const auto os_flag = args.get("os")) {
     host_os = scenario::parse_host_os(*os_flag);
   }
-  const std::string env =
-      args.get_or("env", scenario.profiles.front().name);
-  const auto* profile = scenario.profile_by_name(env);
-  if (!profile) {
-    std::fprintf(stderr, "unknown environment '%s'\n", env.c_str());
-    return 2;
-  }
+  // --env defaults to the scenario's first profile.
+  const vmm::VmmProfile* profile = env_profiles(args, scenario).front();
 
   core::Testbed testbed(scenario.machine, scenario.scheduler, host_os);
   testbed.tracer().enable(true);
@@ -590,8 +440,8 @@ int cmd_timeline(const Args& args) {
   workloads::Bench7zConfig bench_config;
   bench_config.data_bytes = scenario.workloads.sevenzip_bytes;
   const workloads::SevenZipBench bench{bench_config};
-  const int threads = static_cast<int>(
-      args.get_long("threads", scenario.sweep.sevenzip_threads.back()));
+  const int threads =
+      args.get_count<int>("threads", scenario.sweep.sevenzip_threads.back());
   os::HostThread* last = nullptr;
   for (int i = 0; i < threads; ++i) {
     last = &testbed.scheduler().spawn("7z-" + std::to_string(i),
@@ -621,15 +471,8 @@ int cmd_profile(const Args& args) {
   const std::string id =
       args.positional().empty() ? "fig5" : args.positional()[0];
   ScenarioFigureFn fn = figure_fn(id);
-  if (fn == nullptr) {
-    std::fprintf(stderr, "no such figure '%s'; use fig1..fig8\n",
-                 id.c_str());
-    return 2;
-  }
   const scenario::Scenario scenario = scenario_from(args);
-  core::RunnerConfig runner = core::figure_runner_config(scenario);
-  runner.repetitions = static_cast<int>(args.get_long("reps", 3));
-  runner.jobs = static_cast<int>(args.get_long("jobs", 0));
+  const core::RunnerConfig runner = runner_config(args, scenario, 3);
 
   obs::Profiler profiler;
   {
@@ -643,7 +486,7 @@ int cmd_profile(const Args& args) {
     return 1;
   }
 
-  const auto top_n = static_cast<std::size_t>(args.get_long("top", 10));
+  const auto top_n = args.get_count<std::size_t>("top", 10);
   const std::int64_t total = profiler.total_ns();
   report::Table table(util::format(
       "%s on '%s': top %zu scopes by self time (total %.1f ms wall)",
@@ -688,7 +531,7 @@ int cmd_profile(const Args& args) {
 int cmd_bench(const Args& args) {
   perf::BenchConfig config;
   config.quick = args.has("quick");
-  config.jobs = static_cast<int>(args.get_long("jobs", 1));
+  config.jobs = args.get_count<int>("jobs", 1);
   config.scenario = scenario_from(args);
   const std::string out = args.get_or("out", "BENCH_vgrid.json");
 
@@ -725,19 +568,17 @@ int cmd_bench(const Args& args) {
 
 fleet::FleetConfig fleet_config_from(const Args& args) {
   fleet::FleetConfig config;
-  config.hosts = static_cast<std::uint64_t>(args.get_long("hosts", 0));
-  config.jobs = static_cast<int>(args.get_long("jobs", 1));
-  if (args.has("seed")) {
-    config.seed = static_cast<std::uint64_t>(args.get_long("seed", 0));
-  }
+  config.hosts = args.get_count("hosts", 0);
+  config.jobs = args.get_count<int>("jobs", 1);
+  if (args.has("seed")) config.seed = args.get_count("seed", 0);
   if (const auto bug = args.get("inject-bug")) {
     config.inject_bug = fleet::parse_fleet_bug(*bug);
   }
   // --ring N: flight-recorder capacity of the lifecycle journal
   // (0 retains every trace); --no-eventlog turns the journal off.
   config.eventlog = !args.has("no-eventlog");
-  config.eventlog_ring = static_cast<std::size_t>(args.get_long(
-      "ring", static_cast<long>(fleet::kDefaultEventlogRing)));
+  config.eventlog_ring =
+      args.get_count<std::size_t>("ring", fleet::kDefaultEventlogRing);
   // --timeseries: arm the per-shard checkpoint sampler so --selfcheck can
   // verify the scrape-per-shard invariant (the hook the
   // timeseries.finds.dropped_merge mutation test drives).
@@ -746,8 +587,7 @@ fleet::FleetConfig fleet_config_from(const Args& args) {
 }
 
 int cmd_fleet(const Args& args) {
-  const scenario::Scenario scenario =
-      scenario::load(args.get_or("scenario", "fleet-small"));
+  const scenario::Scenario scenario = scenario_from(args, "fleet-small");
   const fleet::FleetConfig config = fleet_config_from(args);
 
   const fleet::FleetResult result = fleet::run_fleet(scenario, config);
@@ -768,11 +608,7 @@ int cmd_fleet(const Args& args) {
     std::printf("fleet summary written to %s\n", out.c_str());
   }
   const std::string metrics_out = args.get_or("metrics-out", "");
-  if (!metrics_out.empty()) {
-    obs::write_snapshot(*result.registry, metrics_out);
-    std::printf("metrics written to %s (JSON) and %s.prom (Prometheus)\n",
-                metrics_out.c_str(), metrics_out.c_str());
-  }
+  if (!metrics_out.empty()) write_metrics(*result.registry, metrics_out);
 
   if (args.has("selfcheck")) {
     const std::vector<std::string> violations =
@@ -802,9 +638,10 @@ obs::Timeseries::Config timeseries_config_from(
     const Args& args, const scenario::Scenario& scenario) {
   obs::Timeseries::Config config;
   if (scenario.obs) config.interval_ms = scenario.obs->sample_interval_ms;
-  config.interval_ms = args.get_long("interval", config.interval_ms);
-  config.ring_capacity = static_cast<std::size_t>(args.get_long(
-      "points", static_cast<long>(config.ring_capacity)));
+  config.interval_ms =
+      args.get_count<std::int64_t>("interval", config.interval_ms);
+  config.ring_capacity =
+      args.get_count<std::size_t>("points", config.ring_capacity);
   return config;
 }
 
@@ -827,8 +664,7 @@ int cmd_timeseries(const Args& args) {
   const std::string out = args.get_or("out", "");
 
   if (target == "fleet") {
-    const scenario::Scenario scenario =
-        scenario::load(args.get_or("scenario", "fleet-small"));
+    const scenario::Scenario scenario = scenario_from(args, "fleet-small");
     fleet::FleetConfig config = fleet_config_from(args);
     config.timeseries = timeseries_config_from(args, scenario);
     const fleet::FleetResult result = fleet::run_fleet(scenario, config);
@@ -843,13 +679,6 @@ int cmd_timeseries(const Args& args) {
   }
 
   ScenarioFigureFn fn = figure_fn(target);
-  if (fn == nullptr) {
-    std::fprintf(stderr,
-                 "no such timeseries target '%s'; use fig1..fig8 or "
-                 "fleet\n",
-                 target.c_str());
-    return 2;
-  }
   const scenario::Scenario scenario = scenario_from(args);
   const core::RunnerConfig runner = runner_config(args, scenario);
   obs::Registry registry;
@@ -881,8 +710,7 @@ int cmd_watch(const Args& args) {
       args.positional().empty() ? "fleet" : args.positional()[0];
 
   if (target == "fleet") {
-    const scenario::Scenario scenario =
-        scenario::load(args.get_or("scenario", "fleet-small"));
+    const scenario::Scenario scenario = scenario_from(args, "fleet-small");
     fleet::FleetConfig config = fleet_config_from(args);
     report::ProgressWriter writer;
     const std::int64_t start_ns = util::monotonic_time_ns();
@@ -919,17 +747,15 @@ int cmd_watch(const Args& args) {
   }
 
   if (target != "grid") {
-    std::fprintf(stderr, "no such watch target '%s'; use fleet or grid\n",
-                 target.c_str());
-    return 2;
+    throw util::UsageError("no such watch target '" + target +
+                           "'; use fleet or grid");
   }
 
   // Live grid run: a real ProjectServer, C client threads chewing through
   // W workunits, and the watcher polling the SCRAPE endpoint for the
   // rolling RPC percentiles while they work.
-  const auto workunits =
-      static_cast<std::uint64_t>(args.get_long("workunits", 32));
-  const int clients = static_cast<int>(args.get_long("clients", 4));
+  const std::uint64_t workunits = args.get_count("workunits", 32);
+  const int clients = args.get_count<int>("clients", 4);
   obs::Registry registry;
   obs::register_defaults(registry);
   obs::ScopedRegistry metrics_scope(&registry);
@@ -1081,42 +907,53 @@ bool journal_usable(const obs::EventLog& log) {
   return log.traces_closed() != 0;
 }
 
-int cmd_trace(const Args& args) {
+/// The lifecycle journal of a `trace`/`tails` run: the fleet target
+/// (default) journals every simulated host, `grid` the scripted protocol
+/// run.
+struct JournalRun {
+  std::unique_ptr<obs::EventLog> log;
+  fleet::FleetConfig config;
+  fleet::FleetResult result;  ///< the fleet target's run; empty for grid
+  bool is_fleet = false;
+};
+
+JournalRun run_journal(const Args& args, const char* command) {
   const std::string target =
       args.positional().empty() ? "fleet" : args.positional()[0];
-  const auto max_traces =
-      static_cast<std::size_t>(args.get_long("max", 10));
+  JournalRun run;
+  if (target == "fleet") {
+    const scenario::Scenario scenario = scenario_from(args, "fleet-small");
+    run.config = fleet_config_from(args);
+    run.config.eventlog = true;
+    run.result = fleet::run_fleet(scenario, run.config);
+    run.log = std::move(run.result.event_log);
+    run.is_fleet = true;
+  } else if (target == "grid") {
+    run.log = std::make_unique<obs::EventLog>();
+    obs::ScopedEventLog scope(run.log.get());
+    run_grid_script(args.get_count("workunits", 6),
+                    args.get_count<int>("clients", 4),
+                    args.get_count<int>("replication", 2),
+                    args.get_count<int>("deaths", 2));
+  } else {
+    throw util::UsageError(util::format(
+        "no such %s target '%s'; use fleet or grid", command,
+        target.c_str()));
+  }
+  return run;
+}
+
+int cmd_trace(const Args& args) {
+  const auto max_traces = args.get_count<std::size_t>("max", 10);
   const bool anomalous_only = args.has("anomalous");
   const std::string out = args.get_or("out", "");
-
-  std::unique_ptr<obs::EventLog> owned;
-  fleet::FleetResult result;
-  if (target == "fleet") {
-    const scenario::Scenario scenario =
-        scenario::load(args.get_or("scenario", "fleet-small"));
-    fleet::FleetConfig config = fleet_config_from(args);
-    config.eventlog = true;
-    result = fleet::run_fleet(scenario, config);
-    owned = std::move(result.event_log);
-  } else if (target == "grid") {
-    owned = std::make_unique<obs::EventLog>();
-    obs::ScopedEventLog scope(owned.get());
-    run_grid_script(
-        static_cast<std::uint64_t>(args.get_long("workunits", 6)),
-        static_cast<int>(args.get_long("clients", 4)),
-        static_cast<int>(args.get_long("replication", 2)),
-        static_cast<int>(args.get_long("deaths", 2)));
-  } else {
-    std::fprintf(stderr, "no such trace target '%s'; use fleet or grid\n",
-                 target.c_str());
-    return 2;
-  }
-  if (!journal_usable(*owned)) return 1;
-  std::fputs(report::render_timelines(*owned, max_traces, anomalous_only)
+  const JournalRun run = run_journal(args, "trace");
+  if (!journal_usable(*run.log)) return 1;
+  std::fputs(report::render_timelines(*run.log, max_traces, anomalous_only)
                  .c_str(),
              stdout);
   if (!out.empty()) {
-    report::write_event_trace(out, *owned, {}, {});
+    report::write_event_trace(out, *run.log, {}, {});
     std::printf("Chrome lifecycle trace written to %s (flow arrows link "
                 "causal events)\n",
                 out.c_str());
@@ -1125,35 +962,9 @@ int cmd_trace(const Args& args) {
 }
 
 int cmd_tails(const Args& args) {
-  const std::string target =
-      args.positional().empty() ? "fleet" : args.positional()[0];
-  std::unique_ptr<obs::EventLog> owned;
-  fleet::FleetResult result;
-  fleet::FleetConfig config;
-  bool have_fleet = false;
-  if (target == "fleet") {
-    const scenario::Scenario scenario =
-        scenario::load(args.get_or("scenario", "fleet-small"));
-    config = fleet_config_from(args);
-    config.eventlog = true;
-    result = fleet::run_fleet(scenario, config);
-    owned = std::move(result.event_log);
-    have_fleet = true;
-  } else if (target == "grid") {
-    owned = std::make_unique<obs::EventLog>();
-    obs::ScopedEventLog scope(owned.get());
-    run_grid_script(
-        static_cast<std::uint64_t>(args.get_long("workunits", 6)),
-        static_cast<int>(args.get_long("clients", 4)),
-        static_cast<int>(args.get_long("replication", 2)),
-        static_cast<int>(args.get_long("deaths", 2)));
-  } else {
-    std::fprintf(stderr, "no such tails target '%s'; use fleet or grid\n",
-                 target.c_str());
-    return 2;
-  }
-  if (!journal_usable(*owned)) return 1;
-  std::fputs(report::format_tails(*owned).c_str(), stdout);
+  const JournalRun run = run_journal(args, "tails");
+  if (!journal_usable(*run.log)) return 1;
+  std::fputs(report::format_tails(*run.log).c_str(), stdout);
 
   if (args.has("selfcheck")) {
     // Reconcile the journal's aggregates against the independently
@@ -1162,18 +973,18 @@ int cmd_tails(const Args& args) {
     // for grid. This is what catches a silently dropped sub-journal
     // merge (ctest eventlog.finds.dropped_merge).
     std::vector<std::string> violations;
-    if (have_fleet) {
-      const obs::Histogram& reference = result.registry->histogram(
+    if (run.is_fleet) {
+      const obs::Histogram& reference = run.result.registry->histogram(
           "fleet.workunit.turnaround_ms", fleet::duration_ms_buckets());
-      violations = report::reconcile_tails(*owned, reference);
+      violations = report::reconcile_tails(*run.log, reference);
       const std::vector<std::string> fleet_violations =
-          fleet::selfcheck(result, config.inject_bug);
+          fleet::selfcheck(run.result, run.config.inject_bug);
       violations.insert(violations.end(), fleet_violations.begin(),
                         fleet_violations.end());
     } else {
       const obs::Histogram* local =
-          owned->stats().find_histogram("trace.turnaround");
-      if (local == nullptr || local->count() != owned->traces_closed()) {
+          run.log->stats().find_histogram("trace.turnaround");
+      if (local == nullptr || local->count() != run.log->traces_closed()) {
         violations.push_back("journal turnaround count != closed traces");
       }
     }
@@ -1183,7 +994,7 @@ int cmd_tails(const Args& args) {
     if (!violations.empty()) return 1;
     std::printf("tails selfcheck PASS: decomposition reconciles with the "
                 "turnaround aggregates (%llu lifecycles)\n",
-                static_cast<unsigned long long>(owned->traces_closed()));
+                static_cast<unsigned long long>(run.log->traces_closed()));
   }
   return 0;
 }
@@ -1197,11 +1008,7 @@ int cmd_tails(const Args& args) {
 // error being swallowed before it reaches the exit status.
 
 int cmd_audit_selftest(const Args& args) {
-  if (args.positional().size() != 1) {
-    std::fprintf(stderr,
-                 "usage: vgrid audit-selftest <empty-pop|empty-next-time>\n");
-    return 2;
-  }
+  if (args.positional().size() != 1) throw util::UsageError("needs a probe");
   const std::string& probe = args.positional()[0];
   sim::EventQueue queue;
   if (probe == "empty-pop") {
@@ -1218,8 +1025,7 @@ int cmd_audit_selftest(const Args& args) {
                  "normally — the precondition audit is not firing\n");
     return 0;
   }
-  std::fprintf(stderr, "audit-selftest: unknown probe '%s'\n", probe.c_str());
-  return 2;
+  throw util::UsageError("unknown probe '" + probe + "'");
 }
 
 // --- determinism-audit -------------------------------------------------------
@@ -1263,10 +1069,9 @@ struct AuditStream {
 };
 
 int audit_fleet(const Args& args) {
-  const scenario::Scenario scenario =
-      scenario::load(args.get_or("scenario", "fleet-small"));
+  const scenario::Scenario scenario = scenario_from(args, "fleet-small");
   fleet::FleetConfig config = fleet_config_from(args);
-  const int jobs = static_cast<int>(args.get_long("jobs", 1));
+  const int jobs = config.jobs;
 
   // --eventlog widens the byte-diffed stream with the lifecycle journal
   // (header, counters, every retained trace): ring retention and the
@@ -1372,25 +1177,17 @@ int cmd_determinism_audit(const Args& args) {
       args.positional().empty() ? "fig5" : args.positional()[0];
   if (id == "fleet") return audit_fleet(args);
   ScenarioFigureFn fn = figure_fn(id);
-  if (fn == nullptr) {
-    std::fprintf(stderr, "no such audit target '%s'; use fig1..fig8 or "
-                 "fleet\n",
-                 id.c_str());
-    return 2;
-  }
   const scenario::Scenario scenario = scenario_from(args);
-  core::RunnerConfig runner = core::figure_runner_config(scenario);
   // Two full runs of a figure: default to a handful of repetitions — any
   // nondeterminism shows up regardless of the repetition count.
-  runner.repetitions = static_cast<int>(args.get_long("reps", 5));
-  runner.seed = static_cast<std::uint64_t>(
-      args.get_long("seed", static_cast<long>(runner.seed)));
+  core::RunnerConfig runner = runner_config(args, scenario, 5);
+  runner.seed = args.get_count("seed", runner.seed);
   // --jobs N audits the parallel engine: the first run is always the
   // legacy serial path, the second fans out over N workers, and the two
   // streams must still byte-match — the ISSUE's "parallel == serial"
   // contract, enforced end to end. --jobs 1 (the default) degenerates to
   // the classic same-config double run.
-  const int jobs = static_cast<int>(args.get_long("jobs", 1));
+  const int jobs = args.get_count<int>("jobs", 1);
   const bool metrics_only = args.has("metrics-only");
   const bool eventlog = args.has("eventlog");
   const bool timeseries = args.has("timeseries");
@@ -1446,31 +1243,25 @@ int cmd_mc(const Args& args) {
   }
 
   mc::ExploreConfig config;
-  config.model.clients = static_cast<int>(args.get_long("clients", 3));
-  config.model.workunits = static_cast<int>(args.get_long("workunits", 3));
-  config.model.replication =
-      static_cast<int>(args.get_long("replication", 2));
-  config.model.quorum = static_cast<int>(args.get_long("quorum", 2));
-  config.model.max_deaths = static_cast<int>(args.get_long("deaths", 1));
+  config.model.clients = args.get_count<int>("clients", 3);
+  config.model.workunits = args.get_count<int>("workunits", 3);
+  config.model.replication = args.get_count<int>("replication", 2);
+  config.model.quorum = args.get_count<int>("quorum", 2);
+  config.model.max_deaths = args.get_count<int>("deaths", 1);
   if (const auto fault_name = args.get("inject-fault")) {
     const auto fault = grid::parse_injected_fault(*fault_name);
     if (!fault) {
-      std::fprintf(stderr,
-                   "vgrid mc: unknown --inject-fault '%s' "
-                   "(none|double_credit|lost_workunit)\n",
-                   fault_name->c_str());
-      return 2;
+      throw util::UsageError("unknown --inject-fault '" + *fault_name +
+                             "' (none|double_credit|lost_workunit)");
     }
     config.model.fault = *fault;
   }
-  config.max_depth = static_cast<int>(args.get_long("max-depth", 96));
-  config.max_states =
-      static_cast<std::uint64_t>(args.get_long("max-states", 2'000'000));
+  config.max_depth = args.get_count<int>("max-depth", 96);
+  config.max_states = args.get_count("max-states", 2'000'000);
   config.use_sleep_sets = !args.has("no-dpor");
   config.use_state_cache = !args.has("no-state-cache");
   if (config.model.clients < 1 || config.model.workunits < 1) {
-    std::fprintf(stderr, "vgrid mc: need --clients >= 1, --workunits >= 1\n");
-    return 2;
+    throw util::UsageError("need --clients >= 1, --workunits >= 1");
   }
 
   mc::Explorer explorer(config);
@@ -1494,8 +1285,8 @@ int cmd_mc(const Args& args) {
     }
     return 1;
   }
-  const auto min_interleavings =
-      static_cast<std::uint64_t>(args.get_long("min-interleavings", 0));
+  const std::uint64_t min_interleavings =
+      args.get_count("min-interleavings", 0);
   if (result.interleavings < min_interleavings) {
     std::fprintf(stderr,
                  "vgrid mc: explored %llu interleavings, required >= %llu\n",
@@ -1562,34 +1353,193 @@ int cmd_scenarios(const Args& args) {
   return 0;
 }
 
+// --- the command table -------------------------------------------------------
+// One row per command form: name, synopsis, help and handler. The synopsis
+// is the flag declaration util::Args parses against. A command's default
+// form comes first; each other form's synopsis starts with its selector.
+
+// Flag groups several commands share, each declared once.
+constexpr std::string_view kFigureFlags =
+    "[--scenario S] [--reps N] [--jobs N]";
+constexpr std::string_view kFleetFlags =
+    "[--scenario S] [--hosts N] [--jobs N] [--seed S] [--ring N] "
+    "[--no-eventlog] [--timeseries] [--inject-bug BUG]";
+constexpr std::string_view kGridScriptFlags =
+    "[--workunits W] [--clients C] [--replication R] [--deaths K]";
+constexpr std::string_view kSamplerFlags =
+    "[--interval MS] [--points N] [--out FILE]";
+constexpr std::string_view kTraceFlags = "[--max N] [--anomalous] [--out FILE]";
+
+struct Command {
+  std::string_view name;
+  std::array<std::string_view, 3> synopsis;  ///< joined with spaces
+  std::string_view help;
+  int (*run)(const Args&);
+
+  std::string synopsis_text() const {
+    std::string text;
+    for (const std::string_view part : synopsis) {
+      if (!part.empty()) text.append(text.empty() ? "" : " ").append(part);
+    }
+    return text;
+  }
+};
+
+constexpr Command kCommands[] = {
+    {"figures", {"[fig1..fig8]", kFigureFlags, "[--metrics-out FILE]"},
+     "reproduce the paper's figures as tables", cmd_figures},
+    {"metrics",
+     {"[fig1..fig8]", kFigureFlags,
+      "[--seed S] [--format json|prom] [--out FILE]"},
+     "obs registry snapshot of figure runs (default fig5, 3 reps)",
+     cmd_metrics},
+    {"guest", {"<7z|matrix|iobench|netbench>", kFigureFlags, "[--env NAME]"},
+     "guest slowdown of one workload per hypervisor (1.0 = native)",
+     cmd_guest},
+    {"host",
+     {kFigureFlags,
+      "[--env NAME] [--threads N] [--priority idle|normal|high] [--vms N] "
+      "[--os xp|linux]"},
+     "host 7z %CPU and MIPS ratio beside pegged VMs", cmd_host},
+    {"suite", {"[--iterations N]"}, "run the native NBench suite", cmd_suite},
+    {"compress", {"<input> <output>"},
+     "compress a real file with the LZMA-family codec",
+     [](const Args& args) { return compress_file(args, false); }},
+    {"decompress", {"<input> <output>"},
+     "decompress a file written by `vgrid compress`",
+     [](const Args& args) { return compress_file(args, true); }},
+    {"deploy", {"[--volunteers N] [--image-mb M]"},
+     "compare VM image deployment strategies", cmd_deploy},
+    {"churn", {"[--workunit-hours H] [--session-hours H] [--no-checkpoint]"},
+     "workunit completion under volunteer churn", cmd_churn},
+    {"migrate", {"[--ram-mb M] [--dirty-mbps R]"},
+     "cold vs live VM migration estimates", cmd_migrate},
+    {"timeline",
+     {"[--scenario S] [--env NAME] [--threads N] [--os xp|linux]",
+      "[--out FILE]"},
+     "trace the Fig. 7 sweep; --out writes a Chrome trace", cmd_timeline},
+    {"profiles", {"[--scenario S]"}, "list the hypervisor profiles",
+     cmd_profiles},
+    {"scenarios", {"[--show NAME|FILE]"},
+     "list the built-in scenarios, or print one in canonical form",
+     cmd_scenarios},
+    {"profile",
+     {"[fig1..fig8]", kFigureFlags, "[--top N] [--out FILE] [--folded FILE]"},
+     "profile one figure run: top-N self time, JSON tree, folded stacks",
+     cmd_profile},
+    {"bench", {"[--quick] [--jobs N] [--scenario S] [--out FILE]"},
+     "macro-benchmark suite -> canonical BENCH_vgrid.json", cmd_bench},
+    {"fleet", {kFleetFlags, "[--out FILE] [--metrics-out FILE] [--selfcheck]"},
+     "population run: percentile summary, identical for any --jobs",
+     cmd_fleet},
+    {"timeseries", {"[fig1..fig8]", kFigureFlags, kSamplerFlags},
+     "export the deterministic sim-time series of a figure run",
+     cmd_timeseries},
+    {"timeseries", {"fleet", kFleetFlags, kSamplerFlags},
+     "the same for the fleet's shard checkpoints", cmd_timeseries},
+    {"watch", {"[fleet]", kFleetFlags, "[--no-progress]"},
+     "live fleet progress on stderr; the summary on stdout", cmd_watch},
+    {"watch", {"grid", "[--workunits W] [--clients C]", "[--no-progress]"},
+     "live progress of a real grid server polled via SCRAPE", cmd_watch},
+    {"trace", {"[fleet]", kFleetFlags, kTraceFlags},
+     "per-workunit lifecycle timelines; --out writes a Chrome trace",
+     cmd_trace},
+    {"trace", {"grid", kGridScriptFlags, kTraceFlags},
+     "the same for a scripted grid protocol run", cmd_trace},
+    {"tails", {"[fleet]", kFleetFlags, "[--selfcheck]"},
+     "turnaround decomposition and wasted-work ledger", cmd_tails},
+    {"tails", {"grid", kGridScriptFlags, "[--selfcheck]"},
+     "the same for a scripted grid protocol run", cmd_tails},
+    {"mc",
+     {"[--clients N] [--workunits W] [--replication R] [--quorum Q] "
+      "[--deaths K] [--max-depth D] [--max-states N]",
+      "[--inject-fault none|double_credit|lost_workunit] [--no-dpor] "
+      "[--no-state-cache]",
+      "[--trace-out FILE] [--min-interleavings N] [--replay FILE]"},
+     "model-check the grid protocol's interleavings", cmd_mc},
+    {"determinism-audit",
+     {"[fig1..fig8]", kFigureFlags,
+      "[--seed S] [--metrics-only] [--profile] [--eventlog] [--timeseries]"},
+     "byte-diff a serial run against an N-worker run (exit 1 on divergence)",
+     cmd_determinism_audit},
+    {"determinism-audit", {"fleet", kFleetFlags, "[--eventlog]"},
+     "the same for the fleet summary, metrics and journal",
+     cmd_determinism_audit},
+    {"audit-selftest", {"<empty-pop|empty-next-time>"},
+     "trip a precondition audit on purpose (exits 1)", cmd_audit_selftest},
+};
+
+/// `lead` then the synopsis, wrapped between words at 79 columns with
+/// continuation lines aligned under the synopsis. A bracket group such as
+/// "[--hosts N]" is one word.
+void print_synopsis(const std::string& lead, const Command& command) {
+  const std::string text = command.synopsis_text();
+  std::string line = lead;
+  for (std::size_t at = 0, end = 0; at < text.size(); at = end + 1) {
+    end = std::min(text.find(text[at] == '[' ? "] " : " ", at), text.size());
+    if (text[at] == '[' && end < text.size()) ++end;
+    if (line.size() > lead.size() && line.size() + 1 + end - at > 79) {
+      std::fprintf(stderr, "%s\n", line.c_str());
+      line.assign(lead.size(), ' ');
+    }
+    line.append(" ").append(text, at, end - at);
+  }
+  std::fprintf(stderr, "%s\n", line.c_str());
+}
+
+/// Usage generated from kCommands: every form of command `name`, or with
+/// no name every command with its help line. Returns the usage exit code.
+int usage(std::string_view name = {}) {
+  if (name.empty()) {
+    std::fprintf(stderr, "usage: vgrid <command> [options]\n"
+                         "(--scenario S takes a built-in name from `vgrid "
+                         "scenarios` or a scenario file)\n\n");
+  }
+  std::string lead = name.empty() ? "  " : "usage: vgrid ";
+  for (const Command& command : kCommands) {
+    if (!name.empty() && command.name != name) continue;
+    print_synopsis(lead + std::string(command.name), command);
+    if (name.empty()) {
+      std::fprintf(stderr, "      %s\n", std::string(command.help).c_str());
+    } else {
+      lead = "       vgrid ";
+    }
+  }
+  return 2;
+}
+
+/// The form of command `argv[1]` that the arguments select: the form whose
+/// synopsis starts with the first positional, else the default form.
+const Command* select_command(int argc, char** argv) {
+  std::vector<const Command*> forms;
+  std::string declared;
+  for (const Command& command : kCommands) {
+    if (argc < 2 || command.name != argv[1]) continue;
+    forms.push_back(&command);
+    declared += command.synopsis_text();
+  }
+  if (forms.size() < 2) return forms.empty() ? nullptr : forms.front();
+  // Every form gives a shared flag the same kind, so parsing against all
+  // of them finds the positionals.
+  const Args probe(declared, argc, argv, 2);
+  for (const Command* form : forms) {
+    if (!probe.positional().empty() &&
+        form->synopsis[0] == probe.positional()[0]) {
+      return form;
+    }
+  }
+  return forms.front();
+}
+
 int dispatch(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-  const Args args(argc, argv, 2);
-  if (command == "figures") return cmd_figures(args);
-  if (command == "metrics") return cmd_metrics(args);
-  if (command == "guest") return cmd_guest(args);
-  if (command == "host") return cmd_host(args);
-  if (command == "suite") return cmd_suite(args);
-  if (command == "compress") return cmd_compress(args, false);
-  if (command == "decompress") return cmd_compress(args, true);
-  if (command == "deploy") return cmd_deploy(args);
-  if (command == "churn") return cmd_churn(args);
-  if (command == "migrate") return cmd_migrate(args);
-  if (command == "timeline") return cmd_timeline(args);
-  if (command == "profiles") return cmd_profiles(args);
-  if (command == "scenarios") return cmd_scenarios(args);
-  if (command == "profile") return cmd_profile(args);
-  if (command == "bench") return cmd_bench(args);
-  if (command == "fleet") return cmd_fleet(args);
-  if (command == "timeseries") return cmd_timeseries(args);
-  if (command == "watch") return cmd_watch(args);
-  if (command == "trace") return cmd_trace(args);
-  if (command == "tails") return cmd_tails(args);
-  if (command == "mc") return cmd_mc(args);
-  if (command == "determinism-audit") return cmd_determinism_audit(args);
-  if (command == "audit-selftest") return cmd_audit_selftest(args);
-  return usage();
+  try {
+    const Command* command = select_command(argc, argv);
+    if (command == nullptr) return usage();
+    return command->run(Args(command->synopsis_text(), argc, argv, 2));
+  } catch (const util::UsageError& error) {
+    std::fprintf(stderr, "vgrid %s: %s\n", argv[1], error.what());
+    return usage(argv[1]);
+  }
 }
 
 }  // namespace
