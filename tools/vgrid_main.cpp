@@ -9,6 +9,8 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
 #include <iterator>
 #include <optional>
 #include <string>
@@ -18,6 +20,7 @@
 
 #include "util/cli_args.hpp"
 #include "core/availability.hpp"
+#include "obs/context.hpp"
 #include "obs/event_log.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
@@ -121,14 +124,11 @@ void write_metrics(const obs::Registry& registry, const std::string& path) {
               path.c_str(), path.c_str());
 }
 
-/// One row per scenario-aware figure function, shared by `figures`,
-/// `metrics` and `determinism-audit`.
-using ScenarioFigureFn = core::FigureResult (*)(const scenario::Scenario&,
-                                                core::RunnerConfig);
-
+/// One row per scenario-aware figure function: the figure targets of
+/// observe().
 struct Figure {
   const char* id;
-  ScenarioFigureFn fn;
+  core::FigureResult (*fn)(const scenario::Scenario&, core::RunnerConfig);
 };
 
 constexpr Figure kFigures[] = {
@@ -137,14 +137,6 @@ constexpr Figure kFigures[] = {
     {"fig5", core::fig5_mem_index},     {"fig6", core::fig6_int_fp_index},
     {"fig7", core::fig7_cpu_available}, {"fig8", core::fig8_mips_ratio},
 };
-
-/// An unknown id is a usage error.
-ScenarioFigureFn figure_fn(const std::string& id) {
-  for (const Figure& figure : kFigures) {
-    if (id == figure.id) return figure.fn;
-  }
-  throw util::UsageError("no such figure '" + id + "'; use fig1..fig8");
-}
 
 void print_figure(const core::FigureResult& figure) {
   report::Table table(figure.id + ": " + figure.title);
@@ -157,78 +149,7 @@ void print_figure(const core::FigureResult& figure) {
   std::printf("%s  [%s]\n\n", table.ascii().c_str(), figure.unit.c_str());
 }
 
-int cmd_figures(const Args& args) {
-  const scenario::Scenario scenario = scenario_from(args);
-  const core::RunnerConfig runner = runner_config(args, scenario);
-  const auto& wanted = args.positional();
-  // --metrics-out FILE: collect the obs registry snapshot across every
-  // selected figure and drop the canonical JSON (plus FILE.prom) next to
-  // the tables. The registry is pre-seeded with the full taxonomy so all
-  // instrumented subsystems appear even when a figure skips some layers.
-  const std::string metrics_out = args.get_or("metrics-out", "");
-  obs::Registry registry;
-  obs::register_defaults(registry);
-  record_scenario_info(registry, scenario);
-  std::printf("scenario: %s (hash %s)\n\n", scenario.name.c_str(),
-              scenario.hash_hex().c_str());
-  bool any = false;
-  {
-    obs::ScopedRegistry metrics_scope(
-        metrics_out.empty() ? nullptr : &registry);
-    for (const Figure& figure : kFigures) {
-      if (!wanted.empty() && std::find(wanted.begin(), wanted.end(),
-                                       figure.id) == wanted.end()) {
-        continue;
-      }
-      any = true;
-      print_figure(figure.fn(scenario, runner));
-    }
-  }
-  if (!any) throw util::UsageError("no such figure; use fig1..fig8");
-  if (!metrics_out.empty()) write_metrics(registry, metrics_out);
-  return 0;
-}
-
-// --- metrics -----------------------------------------------------------------
-// Run one or more figures purely for their metrics: the tables are
-// suppressed and the obs registry snapshot is the output (stdout or
-// --out FILE). Defaults to fig5 with a handful of repetitions — enough to
-// exercise every layer without the paper's full 50-repetition methodology.
-
-int cmd_metrics(const Args& args) {
-  const scenario::Scenario scenario = scenario_from(args);
-  core::RunnerConfig runner = runner_config(args, scenario, 3);
-  runner.seed = args.get_count("seed", runner.seed);
-  const std::string format = args.get_or("format", "json");
-  if (format != "json" && format != "prom") {
-    throw util::UsageError("unknown --format '" + format +
-                           "'; use json or prom");
-  }
-  const auto& wanted =
-      args.positional().empty() ? std::vector<std::string>{"fig5"}
-                                : args.positional();
-  obs::Registry registry;
-  obs::register_defaults(registry);
-  record_scenario_info(registry, scenario);
-  {
-    obs::ScopedRegistry metrics_scope(&registry);
-    for (const std::string& id : wanted) {
-      (void)figure_fn(id)(scenario, runner);
-    }
-  }
-  const std::string out_path = args.get_or("out", "");
-  if (!out_path.empty()) {
-    write_metrics(registry, out_path);
-    return 0;
-  }
-  const std::string body = format == "prom" ? registry.snapshot_prometheus()
-                                            : registry.snapshot_json();
-  std::fputs(body.c_str(), stdout);
-  return 0;
-}
-
 int cmd_guest(const Args& args) {
-  if (args.positional().empty()) throw util::UsageError("missing workload");
   const std::string workload = args.positional()[0];
   const scenario::Scenario scenario = scenario_from(args);
   const core::RunnerConfig runner = runner_config(args, scenario);
@@ -338,7 +259,6 @@ void write_file(const std::string& path,
 }
 
 int compress_file(const Args& args, bool decompress) {
-  if (args.positional().size() != 2) throw util::UsageError("needs 2 paths");
   const auto input = read_file(args.positional()[0]);
   std::vector<std::uint8_t> output;
   if (decompress) {
@@ -461,67 +381,6 @@ int cmd_timeline(const Args& args) {
   return 0;
 }
 
-// --- profile -----------------------------------------------------------------
-// Run one figure with the wall-clock profiler installed and report where
-// the reproduction's own time went — the paper's methodology applied to
-// the measurement system itself. The table aggregates by scope name; the
-// JSON tree (--out) and folded stacks (--folded) keep the full nesting.
-
-int cmd_profile(const Args& args) {
-  const std::string id =
-      args.positional().empty() ? "fig5" : args.positional()[0];
-  ScenarioFigureFn fn = figure_fn(id);
-  const scenario::Scenario scenario = scenario_from(args);
-  const core::RunnerConfig runner = runner_config(args, scenario, 3);
-
-  obs::Profiler profiler;
-  {
-    obs::ScopedProfiler prof_scope(&profiler);
-    (void)fn(scenario, runner);
-  }
-  if (profiler.empty()) {
-    std::fprintf(stderr,
-                 "vgrid profile: no scopes recorded — this binary was "
-                 "built with -DVGRID_PROFILE=OFF\n");
-    return 1;
-  }
-
-  const auto top_n = args.get_count<std::size_t>("top", 10);
-  const std::int64_t total = profiler.total_ns();
-  report::Table table(util::format(
-      "%s on '%s': top %zu scopes by self time (total %.1f ms wall)",
-      id.c_str(), scenario.name.c_str(), top_n,
-      static_cast<double>(total) / 1e6));
-  table.set_header({"scope", "count", "self ms", "incl ms", "self %"});
-  for (const auto& row : report::top_exclusive(profiler, top_n)) {
-    table.add_row(
-        {row.name, util::format("%llu",
-                                static_cast<unsigned long long>(row.count)),
-         util::format_double(static_cast<double>(row.exclusive_ns) / 1e6, 3),
-         util::format_double(static_cast<double>(row.inclusive_ns) / 1e6, 3),
-         util::format_double(
-             total > 0 ? 100.0 * static_cast<double>(row.exclusive_ns) /
-                             static_cast<double>(total)
-                       : 0.0,
-             1)});
-  }
-  std::printf("%s", table.ascii().c_str());
-
-  const std::string out = args.get_or("out", "");
-  if (!out.empty()) {
-    report::write_profile_json(out, profiler);
-    std::printf("profile JSON written to %s\n", out.c_str());
-  }
-  const std::string folded = args.get_or("folded", "");
-  if (!folded.empty()) {
-    report::write_profile_folded(folded, profiler);
-    std::printf("folded stacks written to %s "
-                "(flamegraph.pl %s > flame.svg)\n",
-                folded.c_str(), folded.c_str());
-  }
-  return 0;
-}
-
 // --- bench -------------------------------------------------------------------
 // The wall-clock macro-benchmark suite: event-queue throughput, scheduler
 // passes, message round-trips, fig5 end-to-end. Emits the canonical
@@ -557,273 +416,59 @@ int cmd_bench(const Args& args) {
   return 0;
 }
 
-// --- fleet -------------------------------------------------------------------
-// Population-scale front end of src/fleet: sample N host configurations
-// from the scenario's [fleet] distributions, simulate one workunit on
-// each, and print the canonical percentile summary. The summary and the
-// metrics snapshot are byte-identical for any --jobs value; --selfcheck
-// cross-checks the merged aggregates against the raw per-host ground
-// truth (the hook the fleet.finds.* mutation tests drive via
-// --inject-bug).
+// --- observed runs -----------------------------------------------------------
+// figures, metrics, profile, timeseries, fleet, watch fleet, trace, tails
+// and determinism-audit run their target through one driver, observe(): it
+// installs one obs::Context holding exactly the sinks the command renders,
+// runs the target, and returns those sinks filled beside the target's own
+// output. A sink nobody renders is never installed: the fleet's lifecycle
+// journal alone is most of a 100k-host run's memory.
 
-fleet::FleetConfig fleet_config_from(const Args& args) {
-  fleet::FleetConfig config;
-  config.hosts = args.get_count("hosts", 0);
-  config.jobs = args.get_count<int>("jobs", 1);
-  if (args.has("seed")) config.seed = args.get_count("seed", 0);
-  if (const auto bug = args.get("inject-bug")) {
-    config.inject_bug = fleet::parse_fleet_bug(*bug);
-  }
-  // --ring N: flight-recorder capacity of the lifecycle journal
-  // (0 retains every trace); --no-eventlog turns the journal off.
-  config.eventlog = !args.has("no-eventlog");
-  config.eventlog_ring =
-      args.get_count<std::size_t>("ring", fleet::kDefaultEventlogRing);
-  // --timeseries: arm the per-shard checkpoint sampler so --selfcheck can
-  // verify the scrape-per-shard invariant (the hook the
-  // timeseries.finds.dropped_merge mutation test drives).
-  if (args.has("timeseries")) config.timeseries = obs::Timeseries::Config{};
-  return config;
+/// A count flag's value, or nothing when it is absent.
+template <typename T = std::uint64_t>
+std::optional<T> count_flag(const Args& args, const std::string& flag) {
+  if (!args.has(flag)) return std::nullopt;
+  return args.get_count<T>(flag, 0);
 }
 
-int cmd_fleet(const Args& args) {
-  const scenario::Scenario scenario = scenario_from(args, "fleet-small");
-  const fleet::FleetConfig config = fleet_config_from(args);
+/// What observe() runs: one or more figures, the fleet (src/fleet: N host
+/// configurations sampled from the scenario's [fleet] distributions, one
+/// workunit each), or the scripted grid protocol run (run_grid_script).
+struct Target {
+  enum Kind { kFigure, kFleet, kGrid };
+  Kind kind = kFigure;
+  std::string id;  ///< as named: the first figure id, "fleet" or "grid"
+  std::vector<const Figure*> figures;  ///< kFigure: in fig1..fig8 order
+};
 
-  const fleet::FleetResult result = fleet::run_fleet(scenario, config);
-  record_scenario_info(*result.registry, scenario);
-  const std::string summary =
-      fleet::format_summary(scenario, result, config.inject_bug);
-
-  const std::string out = args.get_or("out", "");
-  if (out.empty()) {
-    std::fputs(summary.c_str(), stdout);
-  } else {
-    std::ofstream file(out, std::ios::trunc);
-    file << summary;
-    if (!file) {
-      std::fprintf(stderr, "vgrid fleet: cannot write %s\n", out.c_str());
-      return 2;
+/// The target the positionals name, else `fallback` ("" = all eight
+/// figures). An unknown id, or one of a kind outside `accepts`, is a usage
+/// error.
+Target target_from(const Args& args, std::string_view fallback,
+                   std::initializer_list<Target::Kind> accepts) {
+  std::vector<std::string> ids = args.positional();
+  if (ids.empty() && !fallback.empty()) ids.emplace_back(fallback);
+  Target target;
+  for (const std::string& id : ids) {
+    target.kind = id == "fleet"  ? Target::kFleet
+                  : id == "grid" ? Target::kGrid
+                                 : Target::kFigure;
+    const auto named = [&id](const Figure& figure) { return id == figure.id; };
+    if (std::count(accepts.begin(), accepts.end(), target.kind) == 0 ||
+        (target.kind == Target::kFigure &&
+         std::none_of(std::begin(kFigures), std::end(kFigures), named))) {
+      throw util::UsageError("no such target '" + id + "'");
     }
-    std::printf("fleet summary written to %s\n", out.c_str());
   }
-  const std::string metrics_out = args.get_or("metrics-out", "");
-  if (!metrics_out.empty()) write_metrics(*result.registry, metrics_out);
-
-  if (args.has("selfcheck")) {
-    const std::vector<std::string> violations =
-        fleet::selfcheck(result, config.inject_bug);
-    for (const std::string& violation : violations) {
-      std::fprintf(stderr, "fleet selfcheck FAIL: %s\n", violation.c_str());
+  target.id = ids.empty() ? "" : ids.front();
+  for (const Figure& figure : kFigures) {
+    if (target.kind == Target::kFigure &&
+        (ids.empty() || std::count(ids.begin(), ids.end(), figure.id) != 0)) {
+      target.figures.push_back(&figure);
     }
-    if (!violations.empty()) return 1;
-    std::printf("fleet selfcheck PASS: aggregates match %llu raw host "
-                "outcomes\n",
-                static_cast<unsigned long long>(result.hosts));
   }
-  return 0;
+  return target;
 }
-
-// --- timeseries / watch ------------------------------------------------------
-// Front ends of obs::Timeseries, the time-resolved leg of the
-// observability quartet. `vgrid timeseries` runs a figure or the fleet
-// with the deterministic sampler installed and exports the canonical
-// sorted JSON (plus CSV / gnuplot tracks via --out); `vgrid watch`
-// renders a live in-terminal progress view on stderr — stdout stays
-// reserved for the canonical artifacts, and --no-progress silences the
-// view entirely.
-
-/// --interval MS / --points N over the scenario's [obs] defaults.
-obs::Timeseries::Config timeseries_config_from(
-    const Args& args, const scenario::Scenario& scenario) {
-  obs::Timeseries::Config config;
-  if (scenario.obs) config.interval_ms = scenario.obs->sample_interval_ms;
-  config.interval_ms =
-      args.get_count<std::int64_t>("interval", config.interval_ms);
-  config.ring_capacity =
-      args.get_count<std::size_t>("points", config.ring_capacity);
-  return config;
-}
-
-int export_timeseries(const obs::Timeseries& series,
-                      const std::string& out) {
-  if (out.empty()) {
-    std::fputs(series.render_json().c_str(), stdout);
-    return 0;
-  }
-  report::write_timeseries(out, series);
-  std::printf("timeseries written to %s (JSON), %s.csv, %s.dat + %s.gp "
-              "(gnuplot)\n",
-              out.c_str(), out.c_str(), out.c_str(), out.c_str());
-  return 0;
-}
-
-int cmd_timeseries(const Args& args) {
-  const std::string target =
-      args.positional().empty() ? "fig5" : args.positional()[0];
-  const std::string out = args.get_or("out", "");
-
-  if (target == "fleet") {
-    const scenario::Scenario scenario = scenario_from(args, "fleet-small");
-    fleet::FleetConfig config = fleet_config_from(args);
-    config.timeseries = timeseries_config_from(args, scenario);
-    const fleet::FleetResult result = fleet::run_fleet(scenario, config);
-    std::fprintf(stderr,
-                 "fleet timeseries: %llu hosts, %zu shard checkpoints, "
-                 "%zu series, %llu points\n",
-                 static_cast<unsigned long long>(result.hosts),
-                 result.shards, result.timeseries->series_count(),
-                 static_cast<unsigned long long>(
-                     result.timeseries->points_recorded()));
-    return export_timeseries(*result.timeseries, out);
-  }
-
-  ScenarioFigureFn fn = figure_fn(target);
-  const scenario::Scenario scenario = scenario_from(args);
-  const core::RunnerConfig runner = runner_config(args, scenario);
-  obs::Registry registry;
-  obs::register_defaults(registry);
-  record_scenario_info(registry, scenario);
-  obs::Timeseries series(timeseries_config_from(args, scenario));
-  {
-    // Both ambient sinks installed: every Testbed the figure builds arms
-    // the sim-time sampler tick, and TaskPool routes per-task sub-series
-    // that merge in task order — the export is --jobs independent.
-    obs::ScopedRegistry metrics_scope(&registry);
-    obs::ScopedTimeseries series_scope(&series);
-    (void)fn(scenario, runner);
-  }
-  std::fprintf(stderr,
-               "%s timeseries: %llu scrapes, %zu series, %llu points "
-               "(interval %lld sim-ms)\n",
-               target.c_str(),
-               static_cast<unsigned long long>(series.samples_taken()),
-               series.series_count(),
-               static_cast<unsigned long long>(series.points_recorded()),
-               static_cast<long long>(series.config().interval_ms));
-  return export_timeseries(series, out);
-}
-
-int cmd_watch(const Args& args) {
-  if (args.has("no-progress")) report::set_progress_enabled(false);
-  const std::string target =
-      args.positional().empty() ? "fleet" : args.positional()[0];
-
-  if (target == "fleet") {
-    const scenario::Scenario scenario = scenario_from(args, "fleet-small");
-    fleet::FleetConfig config = fleet_config_from(args);
-    report::ProgressWriter writer;
-    const std::int64_t start_ns = util::monotonic_time_ns();
-    // The progress view is pure observation: it renders on stderr from
-    // the approximate completion-order counters and never touches the
-    // deterministic outputs (the summary below is still byte-identical
-    // with or without it — determinism.audit covers the same code path).
-    config.on_progress = [&](const fleet::FleetProgress& progress) {
-      const double seconds = static_cast<double>(util::monotonic_time_ns() -
-                                                 start_ns) /
-                             1e9;
-      const double rate =
-          seconds > 0.0
-              ? static_cast<double>(progress.hosts_done) / seconds
-              : 0.0;
-      writer.update(util::format(
-          "fleet: %llu/%llu hosts (%.1f%%) | %.0f hosts/s | shard "
-          "%llu/%zu | turnaround p50 %lld ms p99 %lld ms",
-          static_cast<unsigned long long>(progress.hosts_done),
-          static_cast<unsigned long long>(progress.hosts_total),
-          100.0 * static_cast<double>(progress.hosts_done) /
-              static_cast<double>(
-                  progress.hosts_total > 0 ? progress.hosts_total : 1),
-          rate, static_cast<unsigned long long>(progress.shards_done),
-          progress.shards_total,
-          static_cast<long long>(progress.turnaround_p50_ms),
-          static_cast<long long>(progress.turnaround_p99_ms)));
-    };
-    const fleet::FleetResult result = fleet::run_fleet(scenario, config);
-    writer.done();
-    record_scenario_info(*result.registry, scenario);
-    std::fputs(fleet::format_summary(scenario, result).c_str(), stdout);
-    return 0;
-  }
-
-  if (target != "grid") {
-    throw util::UsageError("no such watch target '" + target +
-                           "'; use fleet or grid");
-  }
-
-  // Live grid run: a real ProjectServer, C client threads chewing through
-  // W workunits, and the watcher polling the SCRAPE endpoint for the
-  // rolling RPC percentiles while they work.
-  const std::uint64_t workunits = args.get_count("workunits", 32);
-  const int clients = args.get_count<int>("clients", 4);
-  obs::Registry registry;
-  obs::register_defaults(registry);
-  obs::ScopedRegistry metrics_scope(&registry);
-
-  grid::ProjectServer server;
-  for (std::uint64_t i = 0; i < workunits; ++i) {
-    grid::Workunit workunit;
-    workunit.kind = "einstein";
-    workunit.payload = "wu-" + std::to_string(i + 1);
-    workunit.replication = 2;
-    workunit.quorum = 2;
-    server.add_workunit(std::move(workunit));
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&server, c] {
-      grid::GridClient client(server.port(), "c" + std::to_string(c));
-      client.register_app("einstein", [](const std::string& payload) {
-        return "result-" + payload;
-      });
-      client.run(/*max_workunits=*/1'000'000);
-    });
-  }
-
-  report::ProgressWriter writer;
-  grid::GridClient watcher(server.port(), "watcher");
-  std::atomic<bool> draining{true};
-  std::thread join_thread([&] {
-    for (std::thread& thread : threads) thread.join();
-    draining.store(false, std::memory_order_release);
-  });
-  while (draining.load(std::memory_order_acquire)) {
-    const grid::ScrapeResponse scrape = watcher.scrape();
-    const grid::ServerStats stats = server.stats();
-    writer.update(util::format(
-        "grid: %llu/%llu workunits validated | %llu results | rpc "
-        "window(%llds): %llu rpcs p50 %.1f us p99 %.1f us",
-        static_cast<unsigned long long>(stats.workunits_validated),
-        static_cast<unsigned long long>(workunits),
-        static_cast<unsigned long long>(stats.results_received),
-        static_cast<long long>(scrape.window_ms / 1000),
-        static_cast<unsigned long long>(scrape.rpc_count),
-        static_cast<double>(scrape.rpc_p50_ns) / 1e3,
-        static_cast<double>(scrape.rpc_p99_ns) / 1e3));
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  join_thread.join();
-  writer.done();
-  server.stop();
-
-  const grid::ServerStats stats = server.stats();
-  std::printf("watch grid: %llu workunits validated, %llu results, "
-              "%llu work requests, %d clients\n",
-              static_cast<unsigned long long>(stats.workunits_validated),
-              static_cast<unsigned long long>(stats.results_received),
-              static_cast<unsigned long long>(stats.work_requests),
-              clients);
-  return 0;
-}
-
-// --- trace / tails -----------------------------------------------------------
-// Front end of the obs::EventLog lifecycle journal. `vgrid trace` renders
-// per-workunit timelines (and a Chrome trace with causal flow arrows);
-// `vgrid tails` decomposes turnaround percentiles into queue-wait /
-// compute / validation / retry and prints the wasted-work ledger. Both
-// take a target: `fleet` (the population run journals every host) or
-// `grid` (an in-process scripted protocol run on a logical clock).
 
 /// Drive grid::ServerLogic directly — no sockets, logical nanosecond
 /// clock — so ServerLogic's own EVT_* sites journal complete workunit
@@ -897,6 +542,457 @@ void run_grid_script(std::uint64_t workunits, int clients, int replication,
   }
 }
 
+/// The sinks observe() can install, as bits of its `sinks` argument.
+constexpr unsigned kRegistry = 1, kJournal = 2, kTimeseries = 4, kTrace = 8,
+                   kProfiler = 16;
+
+struct Observation;
+
+/// The run settings that differ between commands.
+struct Settings {
+  std::optional<int> reps;  ///< the --reps default; else the scenario's
+  std::optional<int> jobs;  ///< replaces --jobs (the audit's two runs)
+  std::optional<std::uint64_t> seed;        ///< a figure run's --seed
+  std::optional<std::int64_t> interval_ms;  ///< sampler --interval
+  std::optional<std::size_t> points;        ///< sampler --points
+  std::function<void(const fleet::FleetProgress&)> on_progress;
+  /// Called as each figure finishes; its rows are run.figures.back().
+  std::function<void(const Observation& run)> on_figure;
+};
+
+/// A finished run: the sinks observe() installed, filled, and the target's
+/// own output.
+struct Observation {
+  Target target;
+  scenario::Scenario scenario;  ///< unused by the grid target
+  core::RunnerConfig runner;    ///< figure target
+  fleet::FleetConfig fleet;     ///< fleet target
+  /// The filled registry, event_log and timeseries; null when not
+  /// installed. For the fleet this is run_fleet's own result, which also
+  /// carries the hosts and raw outcomes selfcheck reads.
+  fleet::FleetResult result;
+  std::unique_ptr<obs::Profiler> profiler;
+  std::optional<std::string> trace;
+  std::vector<core::FigureResult> figures;
+
+  std::string summary() const {
+    return fleet::format_summary(scenario, result, fleet.inject_bug);
+  }
+
+  /// Every deterministic section, in the audit's fixed order: scenario
+  /// header, trace, figure rows (hexfloats, so a one-ulp divergence is a
+  /// diff), fleet summary, metrics, journal, tails, time series. The
+  /// profiler never joins: wall times are not deterministic.
+  std::vector<std::pair<const char*, std::string>> sections() const {
+    std::vector<std::pair<const char*, std::string>> out;
+    if (target.kind == Target::kFigure) {
+      out.emplace_back("scenario", "=== scenario " + scenario.name + " " +
+                                       scenario.hash_hex() + " ===\n");
+    }
+    if (trace) {
+      out.emplace_back("trace", *trace);
+      std::string rows;
+      for (const core::FigureResult& figure : figures) {
+        rows += "=== figure " + figure.id + ": " + figure.title + " [" +
+                figure.unit + "] ===\n";
+        for (const auto& row : figure.rows) {
+          rows += util::format("%s measured=%a paper=%a\n", row.label.c_str(),
+                               row.measured, row.paper.value_or(-1.0));
+        }
+      }
+      out.emplace_back("figure", rows);
+    }
+    if (target.kind == Target::kFleet) out.emplace_back("summary", summary());
+    if (result.registry) {
+      out.emplace_back("metrics",
+                       "=== metrics ===\n" + result.registry->snapshot_json());
+    }
+    if (result.event_log) {
+      out.emplace_back("eventlog", "=== eventlog ===\n" +
+                                       result.event_log->render_journal());
+      if (target.kind == Target::kFleet) {
+        out.emplace_back("tails", "=== tails ===\n" +
+                                      report::format_tails(*result.event_log));
+      }
+    }
+    if (result.timeseries) {
+      out.emplace_back("timeseries", "=== timeseries ===\n" +
+                                         result.timeseries->render_json());
+    }
+    return out;
+  }
+};
+
+/// Run `target` with exactly the `sinks` installed. The fleet always has
+/// a registry: run_fleet builds it.
+Observation observe(const Args& args, Target target, unsigned sinks,
+                    Settings settings = {}) {
+  Observation run;
+  run.target = std::move(target);
+  const bool is_fleet = run.target.kind == Target::kFleet;
+  if (run.target.kind != Target::kGrid) {
+    run.scenario = scenario_from(args, is_fleet ? "fleet-small" : "paper");
+  }
+  obs::Timeseries::Config sampler;
+  if (run.scenario.obs) {
+    sampler.interval_ms = run.scenario.obs->sample_interval_ms;
+  }
+  sampler.interval_ms = settings.interval_ms.value_or(sampler.interval_ms);
+  sampler.ring_capacity = settings.points.value_or(sampler.ring_capacity);
+  obs::Context context;
+  if (sinks & kProfiler) {
+    run.profiler = std::make_unique<obs::Profiler>();
+    context.profiler = run.profiler.get();
+  }
+
+  if (is_fleet) {
+    // run_fleet builds and installs its own registry, journal and sampler.
+    run.fleet.hosts = args.get_count("hosts", 0);
+    run.fleet.jobs = settings.jobs.value_or(args.get_count<int>("jobs", 1));
+    run.fleet.seed = count_flag(args, "seed");
+    if (const auto bug = args.get("inject-bug")) {
+      run.fleet.inject_bug = fleet::parse_fleet_bug(*bug);
+    }
+    run.fleet.eventlog = (sinks & kJournal) != 0;
+    if (run.fleet.eventlog) {
+      // --ring N: flight-recorder capacity of the journal (0 keeps all).
+      run.fleet.eventlog_ring =
+          args.get_count<std::size_t>("ring", fleet::kDefaultEventlogRing);
+    }
+    if (sinks & kTimeseries) run.fleet.timeseries = sampler;
+    run.fleet.on_progress = std::move(settings.on_progress);
+    const obs::ScopedContext scope(context);
+    run.result = fleet::run_fleet(run.scenario, run.fleet);
+    record_scenario_info(*run.result.registry, run.scenario);
+    return run;
+  }
+
+  if (sinks & kRegistry) {
+    // Pre-seeded with the full taxonomy, so every instrumented subsystem
+    // appears even when a figure skips some layers.
+    run.result.registry = std::make_unique<obs::Registry>();
+    obs::register_defaults(*run.result.registry);
+    record_scenario_info(*run.result.registry, run.scenario);
+    context.registry = run.result.registry.get();
+  }
+  if (sinks & kJournal) {
+    run.result.event_log = std::make_unique<obs::EventLog>();
+    context.event_log = run.result.event_log.get();
+  }
+  if (sinks & kTimeseries) {
+    // Every Testbed a figure builds arms the sim-time sampler tick on the
+    // registry; TaskPool merges per-task sub-series in task order.
+    run.result.timeseries = std::make_unique<obs::Timeseries>(sampler);
+    context.timeseries = run.result.timeseries.get();
+  }
+  if (sinks & kTrace) context.trace_capture = &run.trace.emplace();
+  const obs::ScopedContext scope(context);
+  if (run.target.kind == Target::kGrid) {
+    run_grid_script(args.get_count("workunits", 6),
+                    args.get_count<int>("clients", 4),
+                    args.get_count<int>("replication", 2),
+                    args.get_count<int>("deaths", 2));
+    return run;
+  }
+  run.runner = runner_config(args, run.scenario, settings.reps);
+  run.runner.jobs = settings.jobs.value_or(run.runner.jobs);
+  run.runner.seed = settings.seed.value_or(run.runner.seed);
+  for (const Figure* figure : run.target.figures) {
+    run.figures.push_back(figure->fn(run.scenario, run.runner));
+    if (settings.on_figure) settings.on_figure(run);
+  }
+  return run;
+}
+
+// --- figures / metrics / profile ---------------------------------------------
+
+int cmd_figures(const Args& args) {
+  // --metrics-out FILE: the registry snapshot across every selected
+  // figure, as canonical JSON (plus FILE.prom) next to the tables.
+  const std::string metrics_out = args.get_or("metrics-out", "");
+  // Each table is printed as its figure finishes, the header with the
+  // first one.
+  Settings settings;
+  settings.on_figure = [](const Observation& run) {
+    if (run.figures.size() == 1) {
+      std::printf("scenario: %s (hash %s)\n\n", run.scenario.name.c_str(),
+                  run.scenario.hash_hex().c_str());
+    }
+    print_figure(run.figures.back());
+  };
+  const Observation run =
+      observe(args, target_from(args, "", {Target::kFigure}),
+              metrics_out.empty() ? 0 : kRegistry, settings);
+  if (!metrics_out.empty()) write_metrics(*run.result.registry, metrics_out);
+  return 0;
+}
+
+/// Figures run purely for their metrics: the snapshot is the output
+/// (stdout or --out FILE). A handful of repetitions exercises every layer
+/// without the paper's full methodology.
+int cmd_metrics(const Args& args) {
+  const std::string format = args.get_or("format", "json");
+  if (format != "json" && format != "prom") {
+    throw util::UsageError("unknown --format '" + format +
+                           "'; use json or prom");
+  }
+  Settings settings;
+  settings.reps = 3;
+  settings.seed = count_flag(args, "seed");
+  const Observation run = observe(
+      args, target_from(args, "fig5", {Target::kFigure}), kRegistry, settings);
+  const obs::Registry& registry = *run.result.registry;
+  const std::string out_path = args.get_or("out", "");
+  if (!out_path.empty()) {
+    write_metrics(registry, out_path);
+    return 0;
+  }
+  const std::string body = format == "prom" ? registry.snapshot_prometheus()
+                                            : registry.snapshot_json();
+  std::fputs(body.c_str(), stdout);
+  return 0;
+}
+
+/// One figure with the wall-clock profiler installed: where the
+/// reproduction's own time went — the paper's methodology applied to the
+/// measurement system itself. The table aggregates by scope name; the JSON
+/// tree (--out) and folded stacks (--folded) keep the full nesting.
+int cmd_profile(const Args& args) {
+  Settings settings;
+  settings.reps = 3;
+  const Observation run = observe(
+      args, target_from(args, "fig5", {Target::kFigure}), kProfiler, settings);
+  const obs::Profiler& profiler = *run.profiler;
+  if (profiler.empty()) {
+    std::fprintf(stderr,
+                 "vgrid profile: no scopes recorded — this binary was "
+                 "built with -DVGRID_PROFILE=OFF\n");
+    return 1;
+  }
+
+  const auto top_n = args.get_count<std::size_t>("top", 10);
+  const std::int64_t total = profiler.total_ns();
+  report::Table table(util::format(
+      "%s on '%s': top %zu scopes by self time (total %.1f ms wall)",
+      run.target.id.c_str(), run.scenario.name.c_str(), top_n,
+      static_cast<double>(total) / 1e6));
+  table.set_header({"scope", "count", "self ms", "incl ms", "self %"});
+  for (const auto& row : report::top_exclusive(profiler, top_n)) {
+    table.add_row(
+        {row.name, util::format("%llu",
+                                static_cast<unsigned long long>(row.count)),
+         util::format_double(static_cast<double>(row.exclusive_ns) / 1e6, 3),
+         util::format_double(static_cast<double>(row.inclusive_ns) / 1e6, 3),
+         util::format_double(
+             total > 0 ? 100.0 * static_cast<double>(row.exclusive_ns) /
+                             static_cast<double>(total)
+                       : 0.0,
+             1)});
+  }
+  std::printf("%s", table.ascii().c_str());
+
+  const std::string out = args.get_or("out", "");
+  if (!out.empty()) {
+    report::write_profile_json(out, profiler);
+    std::printf("profile JSON written to %s\n", out.c_str());
+  }
+  const std::string folded = args.get_or("folded", "");
+  if (!folded.empty()) {
+    report::write_profile_folded(folded, profiler);
+    std::printf("folded stacks written to %s "
+                "(flamegraph.pl %s > flame.svg)\n",
+                folded.c_str(), folded.c_str());
+  }
+  return 0;
+}
+
+// --- fleet -------------------------------------------------------------------
+// The canonical percentile summary of a population run, byte-identical
+// for any --jobs value; --selfcheck cross-checks the merged aggregates
+// against the raw per-host ground truth (the hook the fleet.finds.*
+// mutation tests drive via --inject-bug).
+
+int cmd_fleet(const Args& args) {
+  // --timeseries arms the sampler for --selfcheck alone, which verifies
+  // the scrape-per-shard invariant (timeseries.finds.dropped_merge).
+  const Observation run =
+      observe(args, target_from(args, "fleet", {Target::kFleet}),
+              args.has("timeseries") ? kTimeseries : 0u);
+  const std::string summary = run.summary();
+  const std::string out = args.get_or("out", "");
+  if (out.empty()) {
+    std::fputs(summary.c_str(), stdout);
+  } else {
+    std::ofstream file(out, std::ios::trunc);
+    file << summary;
+    if (!file) {
+      std::fprintf(stderr, "vgrid fleet: cannot write %s\n", out.c_str());
+      return 2;
+    }
+    std::printf("fleet summary written to %s\n", out.c_str());
+  }
+  const std::string metrics_out = args.get_or("metrics-out", "");
+  if (!metrics_out.empty()) write_metrics(*run.result.registry, metrics_out);
+
+  if (args.has("selfcheck")) {
+    const std::vector<std::string> violations =
+        fleet::selfcheck(run.result, run.fleet.inject_bug);
+    for (const std::string& violation : violations) {
+      std::fprintf(stderr, "fleet selfcheck FAIL: %s\n", violation.c_str());
+    }
+    if (!violations.empty()) return 1;
+    std::printf("fleet selfcheck PASS: aggregates match %llu raw host "
+                "outcomes\n",
+                static_cast<unsigned long long>(run.result.hosts));
+  }
+  return 0;
+}
+
+// --- timeseries / watch ------------------------------------------------------
+// Front ends of obs::Timeseries, the time-resolved leg of the
+// observability quartet. `vgrid timeseries` runs a figure or the fleet
+// with the deterministic sampler installed and exports the canonical
+// sorted JSON (plus CSV / gnuplot tracks via --out); `vgrid watch`
+// renders a live in-terminal progress view on stderr — stdout stays
+// reserved for the canonical artifacts, and --no-progress silences the
+// view entirely.
+
+int cmd_timeseries(const Args& args) {
+  Settings settings;
+  settings.interval_ms = count_flag<std::int64_t>(args, "interval");
+  settings.points = count_flag<std::size_t>(args, "points");
+  // The registry is what the sampler scrapes.
+  const Observation run = observe(
+      args, target_from(args, "fig5", {Target::kFigure, Target::kFleet}),
+      kRegistry | kTimeseries, settings);
+  const obs::Timeseries& series = *run.result.timeseries;
+  std::fprintf(stderr,
+               "%s timeseries: %llu scrapes, %zu series, %llu points "
+               "(interval %lld sim-ms)\n",
+               run.target.id.c_str(),
+               static_cast<unsigned long long>(series.samples_taken()),
+               series.series_count(),
+               static_cast<unsigned long long>(series.points_recorded()),
+               static_cast<long long>(series.config().interval_ms));
+  const std::string out = args.get_or("out", "");
+  if (out.empty()) {
+    std::fputs(series.render_json().c_str(), stdout);
+    return 0;
+  }
+  report::write_timeseries(out, series);
+  std::printf("timeseries written to %s (JSON), %s.csv, %s.dat + %s.gp "
+              "(gnuplot)\n",
+              out.c_str(), out.c_str(), out.c_str(), out.c_str());
+  return 0;
+}
+
+int cmd_watch_fleet(const Args& args) {
+  if (args.has("no-progress")) report::set_progress_enabled(false);
+  report::ProgressWriter writer;
+  const std::int64_t start_ns = util::monotonic_time_ns();
+  // The progress view is pure observation: it renders on stderr from the
+  // approximate completion-order counters and never touches the
+  // deterministic outputs (the summary below is still byte-identical with
+  // or without it — determinism.audit covers the same code path).
+  Settings settings;
+  settings.on_progress = [&](const fleet::FleetProgress& progress) {
+    const double seconds =
+        static_cast<double>(util::monotonic_time_ns() - start_ns) / 1e9;
+    const double rate =
+        seconds > 0.0 ? static_cast<double>(progress.hosts_done) / seconds
+                      : 0.0;
+    writer.update(util::format(
+        "fleet: %llu/%llu hosts (%.1f%%) | %.0f hosts/s | shard "
+        "%llu/%zu | turnaround p50 %lld ms p99 %lld ms",
+        static_cast<unsigned long long>(progress.hosts_done),
+        static_cast<unsigned long long>(progress.hosts_total),
+        100.0 * static_cast<double>(progress.hosts_done) /
+            static_cast<double>(
+                progress.hosts_total > 0 ? progress.hosts_total : 1),
+        rate, static_cast<unsigned long long>(progress.shards_done),
+        progress.shards_total,
+        static_cast<long long>(progress.turnaround_p50_ms),
+        static_cast<long long>(progress.turnaround_p99_ms)));
+  };
+  const Observation run = observe(
+      args, target_from(args, "fleet", {Target::kFleet}), 0, settings);
+  writer.done();
+  std::fputs(run.summary().c_str(), stdout);
+  return 0;
+}
+
+/// Live grid run: a real ProjectServer, C client threads chewing through
+/// W workunits, and the watcher polling the SCRAPE endpoint for the
+/// rolling RPC percentiles while they work.
+int cmd_watch_grid(const Args& args) {
+  if (args.has("no-progress")) report::set_progress_enabled(false);
+  const std::uint64_t workunits = args.get_count("workunits", 32);
+  const int clients = args.get_count<int>("clients", 4);
+  grid::ProjectServer server;
+  for (std::uint64_t i = 0; i < workunits; ++i) {
+    grid::Workunit workunit;
+    workunit.kind = "einstein";
+    workunit.payload = "wu-" + std::to_string(i + 1);
+    workunit.replication = 2;
+    workunit.quorum = 2;
+    server.add_workunit(std::move(workunit));
+  }
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(clients));
+  for (int c = 0; c < clients; ++c) {
+    threads.emplace_back([&server, c] {
+      grid::GridClient client(server.port(), "c" + std::to_string(c));
+      client.register_app("einstein", [](const std::string& payload) {
+        return "result-" + payload;
+      });
+      client.run(/*max_workunits=*/1'000'000);
+    });
+  }
+
+  report::ProgressWriter writer;
+  grid::GridClient watcher(server.port(), "watcher");
+  std::atomic<bool> draining{true};
+  std::thread join_thread([&] {
+    for (std::thread& thread : threads) thread.join();
+    draining.store(false, std::memory_order_release);
+  });
+  while (draining.load(std::memory_order_acquire)) {
+    const grid::ScrapeResponse scrape = watcher.scrape();
+    const grid::ServerStats stats = server.stats();
+    writer.update(util::format(
+        "grid: %llu/%llu workunits validated | %llu results | rpc "
+        "window(%llds): %llu rpcs p50 %.1f us p99 %.1f us",
+        static_cast<unsigned long long>(stats.workunits_validated),
+        static_cast<unsigned long long>(workunits),
+        static_cast<unsigned long long>(stats.results_received),
+        static_cast<long long>(scrape.window_ms / 1000),
+        static_cast<unsigned long long>(scrape.rpc_count),
+        static_cast<double>(scrape.rpc_p50_ns) / 1e3,
+        static_cast<double>(scrape.rpc_p99_ns) / 1e3));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  join_thread.join();
+  writer.done();
+  server.stop();
+
+  const grid::ServerStats stats = server.stats();
+  std::printf("watch grid: %llu workunits validated, %llu results, "
+              "%llu work requests, %d clients\n",
+              static_cast<unsigned long long>(stats.workunits_validated),
+              static_cast<unsigned long long>(stats.results_received),
+              static_cast<unsigned long long>(stats.work_requests),
+              clients);
+  return 0;
+}
+
+// --- trace / tails -----------------------------------------------------------
+// Front end of the obs::EventLog lifecycle journal. `vgrid trace` renders
+// per-workunit timelines (and a Chrome trace with causal flow arrows);
+// `vgrid tails` decomposes turnaround percentiles into queue-wait /
+// compute / validation / retry and prints the wasted-work ledger. Both
+// take a target: `fleet` (the population run journals every host) or
+// `grid` (the scripted protocol run on a logical clock).
+
 /// Explain an empty journal: distinguish the kill-switch build from a
 /// genuinely event-free run.
 bool journal_usable(const obs::EventLog& log) {
@@ -907,53 +1003,19 @@ bool journal_usable(const obs::EventLog& log) {
   return log.traces_closed() != 0;
 }
 
-/// The lifecycle journal of a `trace`/`tails` run: the fleet target
-/// (default) journals every simulated host, `grid` the scripted protocol
-/// run.
-struct JournalRun {
-  std::unique_ptr<obs::EventLog> log;
-  fleet::FleetConfig config;
-  fleet::FleetResult result;  ///< the fleet target's run; empty for grid
-  bool is_fleet = false;
-};
-
-JournalRun run_journal(const Args& args, const char* command) {
-  const std::string target =
-      args.positional().empty() ? "fleet" : args.positional()[0];
-  JournalRun run;
-  if (target == "fleet") {
-    const scenario::Scenario scenario = scenario_from(args, "fleet-small");
-    run.config = fleet_config_from(args);
-    run.config.eventlog = true;
-    run.result = fleet::run_fleet(scenario, run.config);
-    run.log = std::move(run.result.event_log);
-    run.is_fleet = true;
-  } else if (target == "grid") {
-    run.log = std::make_unique<obs::EventLog>();
-    obs::ScopedEventLog scope(run.log.get());
-    run_grid_script(args.get_count("workunits", 6),
-                    args.get_count<int>("clients", 4),
-                    args.get_count<int>("replication", 2),
-                    args.get_count<int>("deaths", 2));
-  } else {
-    throw util::UsageError(util::format(
-        "no such %s target '%s'; use fleet or grid", command,
-        target.c_str()));
-  }
-  return run;
-}
-
 int cmd_trace(const Args& args) {
   const auto max_traces = args.get_count<std::size_t>("max", 10);
   const bool anomalous_only = args.has("anomalous");
   const std::string out = args.get_or("out", "");
-  const JournalRun run = run_journal(args, "trace");
-  if (!journal_usable(*run.log)) return 1;
-  std::fputs(report::render_timelines(*run.log, max_traces, anomalous_only)
-                 .c_str(),
+  const Observation run = observe(
+      args, target_from(args, "fleet", {Target::kFleet, Target::kGrid}),
+      kJournal);
+  const obs::EventLog& log = *run.result.event_log;
+  if (!journal_usable(log)) return 1;
+  std::fputs(report::render_timelines(log, max_traces, anomalous_only).c_str(),
              stdout);
   if (!out.empty()) {
-    report::write_event_trace(out, *run.log, {}, {});
+    report::write_event_trace(out, log, {}, {});
     std::printf("Chrome lifecycle trace written to %s (flow arrows link "
                 "causal events)\n",
                 out.c_str());
@@ -962,9 +1024,16 @@ int cmd_trace(const Args& args) {
 }
 
 int cmd_tails(const Args& args) {
-  const JournalRun run = run_journal(args, "tails");
-  if (!journal_usable(*run.log)) return 1;
-  std::fputs(report::format_tails(*run.log).c_str(), stdout);
+  const Target target =
+      target_from(args, "fleet", {Target::kFleet, Target::kGrid});
+  // As for `fleet`, --timeseries is read by --selfcheck alone.
+  const bool sampler =
+      target.kind == Target::kFleet && args.has("timeseries");
+  const Observation run =
+      observe(args, target, kJournal | (sampler ? kTimeseries : 0u));
+  const obs::EventLog& log = *run.result.event_log;
+  if (!journal_usable(log)) return 1;
+  std::fputs(report::format_tails(log).c_str(), stdout);
 
   if (args.has("selfcheck")) {
     // Reconcile the journal's aggregates against the independently
@@ -973,18 +1042,18 @@ int cmd_tails(const Args& args) {
     // for grid. This is what catches a silently dropped sub-journal
     // merge (ctest eventlog.finds.dropped_merge).
     std::vector<std::string> violations;
-    if (run.is_fleet) {
+    if (run.target.kind == Target::kFleet) {
       const obs::Histogram& reference = run.result.registry->histogram(
           "fleet.workunit.turnaround_ms", fleet::duration_ms_buckets());
-      violations = report::reconcile_tails(*run.log, reference);
+      violations = report::reconcile_tails(log, reference);
       const std::vector<std::string> fleet_violations =
-          fleet::selfcheck(run.result, run.config.inject_bug);
+          fleet::selfcheck(run.result, run.fleet.inject_bug);
       violations.insert(violations.end(), fleet_violations.begin(),
                         fleet_violations.end());
     } else {
       const obs::Histogram* local =
-          run.log->stats().find_histogram("trace.turnaround");
-      if (local == nullptr || local->count() != run.log->traces_closed()) {
+          log.stats().find_histogram("trace.turnaround");
+      if (local == nullptr || local->count() != log.traces_closed()) {
         violations.push_back("journal turnaround count != closed traces");
       }
     }
@@ -994,7 +1063,80 @@ int cmd_tails(const Args& args) {
     if (!violations.empty()) return 1;
     std::printf("tails selfcheck PASS: decomposition reconciles with the "
                 "turnaround aggregates (%llu lifecycles)\n",
-                static_cast<unsigned long long>(run.log->traces_closed()));
+                static_cast<unsigned long long>(log.traces_closed()));
+  }
+  return 0;
+}
+
+// --- determinism-audit -------------------------------------------------------
+// ARCHITECTURE.md §5 promises "runs are exactly reproducible given a seed";
+// this subcommand enforces it end to end: observe() the target twice, at
+// jobs 1 and at --jobs N, with the same sinks installed, concatenate every
+// deterministic section of each run (Observation::sections) and byte-diff
+// the two streams. The PASS line names each section with its size.
+
+int cmd_determinism_audit(const Args& args) {
+  const Target target =
+      target_from(args, "fig5", {Target::kFigure, Target::kFleet});
+  const bool figure = target.kind == Target::kFigure;
+  // The metric snapshot always joins the stream: a counter that depends
+  // on worker interleaving is as much a determinism bug as a diverging
+  // trace. --metrics-only drops the trace capture and with it the figure
+  // rows, for a cheap focused gate. --profile installs the wall-clock
+  // profiler for both runs: it never joins the stream, but having it on
+  // must not perturb a byte of it.
+  const unsigned sinks = kRegistry | (args.has("eventlog") ? kJournal : 0u) |
+                         (args.has("timeseries") ? kTimeseries : 0u) |
+                         (figure && !args.has("metrics-only") ? kTrace : 0u) |
+                         (figure && args.has("profile") ? kProfiler : 0u);
+  Settings settings;
+  settings.reps = 5;
+  settings.seed = count_flag(args, "seed");
+  const int jobs = args.get_count<int>("jobs", 1);
+  // Each run's sinks are freed before the next one starts.
+  std::string first;
+  for (int pass = 0; pass < 2; ++pass) {
+    settings.jobs = pass == 0 ? 1 : jobs;
+    const Observation run = observe(args, target, sinks, settings);
+    std::string stream;
+    std::string sections;
+    for (const auto& [name, text] : run.sections()) {
+      stream += text;
+      sections += util::format("%s%s %zu B", sections.empty() ? "" : ", ",
+                               name, text.size());
+    }
+    if (pass == 0) {
+      first = std::move(stream);
+      continue;
+    }
+    if (first != stream) {
+      // Report the first differing byte and its line.
+      const auto at = std::mismatch(first.begin(), first.end(),
+                                    stream.begin(), stream.end())
+                          .first;
+      std::fprintf(stderr,
+                   "determinism-audit FAIL: %s diverges at byte %td (line "
+                   "%td; sizes %zu vs %zu; serial vs %d jobs)\n",
+                   target.id.c_str(), at - first.begin(),
+                   std::count(first.begin(), at, '\n') + 1, first.size(),
+                   stream.size(), jobs);
+      return 1;
+    }
+    // The figure form names the runs' seed and repetitions.
+    const std::string seed =
+        figure ? util::format(" across two seed=%llu runs",
+                              static_cast<unsigned long long>(run.runner.seed))
+               : "";
+    const std::string reps =
+        figure ? util::format("%d repetitions, ", run.runner.repetitions) : "";
+    std::printf(
+        "determinism-audit PASS: %s [scenario %s %s] %sbyte-identical%s "
+        "(%s; %zu bytes, %sserial vs %d jobs%s)\n",
+        target.id.c_str(), run.scenario.name.c_str(),
+        run.scenario.hash_hex().c_str(),
+        figure && !run.trace ? "metric snapshots " : "", seed.c_str(),
+        sections.c_str(), stream.size(), reps.c_str(), jobs,
+        run.profiler ? ", profiling on" : "");
   }
   return 0;
 }
@@ -1008,214 +1150,21 @@ int cmd_tails(const Args& args) {
 // error being swallowed before it reaches the exit status.
 
 int cmd_audit_selftest(const Args& args) {
-  if (args.positional().size() != 1) throw util::UsageError("needs a probe");
   const std::string& probe = args.positional()[0];
   sim::EventQueue queue;
+  // Precondition !empty(): each call must throw AuditError.
   if (probe == "empty-pop") {
-    (void)queue.pop();  // precondition !empty() — must throw AuditError
-    std::fprintf(stderr,
-                 "audit-selftest: empty-queue pop() returned normally — "
-                 "the precondition audit is not firing\n");
-    return 0;  // WILL_FAIL inverts: returning success fails the test
-  }
-  if (probe == "empty-next-time") {
+    (void)queue.pop();
+  } else if (probe == "empty-next-time") {
     (void)queue.next_time();
-    std::fprintf(stderr,
-                 "audit-selftest: empty-queue next_time() returned "
-                 "normally — the precondition audit is not firing\n");
-    return 0;
-  }
-  throw util::UsageError("unknown probe '" + probe + "'");
-}
-
-// --- determinism-audit -------------------------------------------------------
-// ARCHITECTURE.md §5 promises "runs are exactly reproducible given a seed";
-// this subcommand enforces it end to end: run one figure experiment twice
-// with identical RunnerConfig, capture every testbed's event trace plus the
-// figure's numeric rows at full precision, and byte-diff the two streams.
-// The `fleet` target applies the same contract to the population layer:
-// the fleet summary + metrics snapshot must byte-match across --jobs {1,N}.
-
-/// Byte-diff two captured streams; on divergence report the first
-/// differing byte/line to stderr. Returns true when identical.
-bool streams_identical(const std::string& id, const std::string& first,
-                       const std::string& second, int jobs) {
-  if (first == second) return true;
-  const std::size_t limit = std::min(first.size(), second.size());
-  std::size_t offset = 0;
-  while (offset < limit && first[offset] == second[offset]) ++offset;
-  std::size_t line = 1;
-  for (std::size_t i = 0; i < offset; ++i) {
-    if (first[i] == '\n') ++line;
+  } else {
+    throw util::UsageError("unknown probe '" + probe + "'");
   }
   std::fprintf(stderr,
-               "determinism-audit FAIL: %s diverges at byte %zu (line %zu; "
-               "sizes %zu vs %zu; serial vs %d jobs)\n",
-               id.c_str(), offset, line, first.size(), second.size(), jobs);
-  return false;
-}
-
-/// An audited byte stream built from named sections, so the PASS line
-/// names every section it compared with its size.
-struct AuditStream {
-  std::string bytes;
-  std::string sections;
-
-  void add(const char* name, const std::string& text) {
-    bytes += text;
-    sections += util::format("%s%s %zu B", sections.empty() ? "" : ", ",
-                             name, text.size());
-  }
-};
-
-int audit_fleet(const Args& args) {
-  const scenario::Scenario scenario = scenario_from(args, "fleet-small");
-  fleet::FleetConfig config = fleet_config_from(args);
-  const int jobs = config.jobs;
-
-  // --eventlog widens the byte-diffed stream with the lifecycle journal
-  // (header, counters, every retained trace): ring retention and the
-  // shard-ordered sub-journal merges must reproduce the serial journal
-  // byte for byte, ring churn included. --timeseries does the same for
-  // the shard-checkpoint sampler: the rendered series must be identical
-  // however the shards were fanned out.
-  const bool eventlog = args.has("eventlog");
-  const bool timeseries = args.has("timeseries");
-  if (timeseries) config.timeseries = obs::Timeseries::Config{};
-  const auto run_once = [&](int jobs_value) {
-    fleet::FleetConfig run = config;
-    run.jobs = jobs_value;
-    const fleet::FleetResult result = fleet::run_fleet(scenario, run);
-    record_scenario_info(*result.registry, scenario);
-    AuditStream stream;
-    stream.add("summary", fleet::format_summary(scenario, result));
-    stream.add("metrics",
-               "=== metrics ===\n" + result.registry->snapshot_json());
-    if (eventlog && result.event_log != nullptr) {
-      stream.add("eventlog", "=== eventlog ===\n" +
-                                 result.event_log->render_journal());
-      stream.add("tails", "=== tails ===\n" +
-                              report::format_tails(*result.event_log));
-    }
-    if (timeseries && result.timeseries != nullptr) {
-      stream.add("timeseries", "=== timeseries ===\n" +
-                                   result.timeseries->render_json());
-    }
-    return stream;
-  };
-  const AuditStream first = run_once(1);
-  const AuditStream second = run_once(jobs);
-  if (!streams_identical("fleet", first.bytes, second.bytes, jobs)) return 1;
-  std::printf(
-      "determinism-audit PASS: fleet [scenario %s %s] byte-identical "
-      "(%s; %zu bytes, serial vs %d jobs)\n",
-      scenario.name.c_str(), scenario.hash_hex().c_str(),
-      first.sections.c_str(), first.bytes.size(), jobs);
-  return 0;
-}
-
-AuditStream run_captured(ScenarioFigureFn fn,
-                         const scenario::Scenario& scenario,
-                         const core::RunnerConfig& runner,
-                         bool metrics_only, bool eventlog,
-                         bool timeseries) {
-  // The metric snapshot always joins the byte-diffed stream: a counter that
-  // depends on worker interleaving is as much a determinism bug as a
-  // diverging trace. --metrics-only narrows the stream to the snapshot
-  // alone (no trace capture, no result rows) for a cheap focused gate.
-  // The scenario header pins the testbed's identity, so streams from two
-  // different scenarios can never byte-match by accident.
-  AuditStream stream;
-  stream.add("scenario", "=== scenario " + scenario.name + " " +
-                             scenario.hash_hex() + " ===\n");
-  obs::Registry registry;
-  obs::register_defaults(registry);
-  record_scenario_info(registry, scenario);
-  // --eventlog keeps a lifecycle journal installed for the whole run;
-  // figure experiments emit no lifecycle events themselves, but the
-  // journal bytes (and TaskPool's per-task sub-log merges) must still be
-  // identical across worker counts.
-  obs::EventLog journal;
-  // --timeseries arms the sim-time sampler in every Testbed the figure
-  // builds; the rendered series joins the byte-diffed stream, proving
-  // the per-task sub-series merge is worker-count independent.
-  obs::Timeseries series;
-  std::string trace;
-  core::FigureResult figure;
-  {
-    obs::ScopedRegistry metrics_scope(&registry);
-    obs::ScopedEventLog journal_scope(eventlog ? &journal : nullptr);
-    obs::ScopedTimeseries series_scope(timeseries ? &series : nullptr);
-    obs::ScopedTraceCapture trace_scope(metrics_only ? nullptr : &trace);
-    figure = fn(scenario, runner);
-  }
-  if (!metrics_only) {
-    stream.add("trace", trace);
-    std::string rows = "=== figure " + figure.id + ": " + figure.title +
-                       " [" + figure.unit + "] ===\n";
-    for (const auto& row : figure.rows) {
-      // %a: hex floats — every mantissa bit survives the round-trip, so a
-      // one-ulp divergence between the runs is a diff, not a rounding
-      // blur.
-      rows += util::format("%s measured=%a paper=%a\n", row.label.c_str(),
-                           row.measured, row.paper.value_or(-1.0));
-    }
-    stream.add("figure", rows);
-  }
-  stream.add("metrics", "=== metrics ===\n" + registry.snapshot_json());
-  if (eventlog) {
-    stream.add("eventlog", "=== eventlog ===\n" + journal.render_journal());
-  }
-  if (timeseries) {
-    stream.add("timeseries", "=== timeseries ===\n" + series.render_json());
-  }
-  return stream;
-}
-
-int cmd_determinism_audit(const Args& args) {
-  const std::string id =
-      args.positional().empty() ? "fig5" : args.positional()[0];
-  if (id == "fleet") return audit_fleet(args);
-  ScenarioFigureFn fn = figure_fn(id);
-  const scenario::Scenario scenario = scenario_from(args);
-  // Two full runs of a figure: default to a handful of repetitions — any
-  // nondeterminism shows up regardless of the repetition count.
-  core::RunnerConfig runner = runner_config(args, scenario, 5);
-  runner.seed = args.get_count("seed", runner.seed);
-  // --jobs N audits the parallel engine: the first run is always the
-  // legacy serial path, the second fans out over N workers, and the two
-  // streams must still byte-match — the ISSUE's "parallel == serial"
-  // contract, enforced end to end. --jobs 1 (the default) degenerates to
-  // the classic same-config double run.
-  const int jobs = args.get_count<int>("jobs", 1);
-  const bool metrics_only = args.has("metrics-only");
-  const bool eventlog = args.has("eventlog");
-  const bool timeseries = args.has("timeseries");
-  // --profile installs the wall-clock profiler for both runs. The profile
-  // itself never joins the byte stream (wall times are not deterministic);
-  // the point is that *having it on* must not perturb the stream — the
-  // scopes read only the monotonic clock and touch no sim state.
-  const bool profile = args.has("profile");
-  obs::Profiler profiler;
-  obs::ScopedProfiler prof_scope(profile ? &profiler : nullptr);
-
-  runner.jobs = 1;
-  const AuditStream first =
-      run_captured(fn, scenario, runner, metrics_only, eventlog, timeseries);
-  runner.jobs = jobs;
-  const AuditStream second =
-      run_captured(fn, scenario, runner, metrics_only, eventlog, timeseries);
-  if (!streams_identical(id, first.bytes, second.bytes, jobs)) return 1;
-  std::printf(
-      "determinism-audit PASS: %s [scenario %s %s] %sbyte-identical "
-      "across two seed=%llu runs (%s; %zu bytes, %d repetitions, serial "
-      "vs %d jobs%s)\n",
-      id.c_str(), scenario.name.c_str(), scenario.hash_hex().c_str(),
-      metrics_only ? "metric snapshots " : "",
-      static_cast<unsigned long long>(runner.seed),
-      first.sections.c_str(), first.bytes.size(), runner.repetitions,
-      jobs, profile ? ", profiling on" : "");
-  return 0;
+               "audit-selftest: empty-queue %s returned normally — the "
+               "precondition audit is not firing\n",
+               probe == "empty-pop" ? "pop()" : "next_time()");
+  return 0;  // WILL_FAIL inverts: returning success fails the test
 }
 
 // --- mc ----------------------------------------------------------------------
@@ -1355,15 +1304,15 @@ int cmd_scenarios(const Args& args) {
 
 // --- the command table -------------------------------------------------------
 // One row per command form: name, synopsis, help and handler. The synopsis
-// is the flag declaration util::Args parses against. A command's default
-// form comes first; each other form's synopsis starts with its selector.
+// declares the flags util::Args parses against and the positionals
+// dispatch() accepts. A command's default form comes first; each other
+// form's synopsis starts with its selector.
 
 // Flag groups several commands share, each declared once.
 constexpr std::string_view kFigureFlags =
     "[--scenario S] [--reps N] [--jobs N]";
 constexpr std::string_view kFleetFlags =
-    "[--scenario S] [--hosts N] [--jobs N] [--seed S] [--ring N] "
-    "[--no-eventlog] [--timeseries] [--inject-bug BUG]";
+    "[--scenario S] [--hosts N] [--jobs N] [--seed S] [--inject-bug BUG]";
 constexpr std::string_view kGridScriptFlags =
     "[--workunits W] [--clients C] [--replication R] [--deaths K]";
 constexpr std::string_view kSamplerFlags =
@@ -1372,7 +1321,7 @@ constexpr std::string_view kTraceFlags = "[--max N] [--anomalous] [--out FILE]";
 
 struct Command {
   std::string_view name;
-  std::array<std::string_view, 3> synopsis;  ///< joined with spaces
+  std::array<std::string_view, 4> synopsis;  ///< joined with spaces
   std::string_view help;
   int (*run)(const Args&);
 
@@ -1383,13 +1332,45 @@ struct Command {
     }
     return text;
   }
+
+  /// The synopsis split into words; a bracket group such as "[--hosts N]"
+  /// or "[fig1..fig8 ...]" is one word.
+  std::vector<std::string> words() const {
+    const std::string text = synopsis_text();
+    std::vector<std::string> words;
+    for (std::size_t at = 0, end = 0; at < text.size(); at = end + 1) {
+      end = std::min(text.find(text[at] == '[' ? "] " : " ", at), text.size());
+      if (text[at] == '[' && end < text.size()) ++end;
+      words.push_back(text.substr(at, end - at));
+    }
+    return words;
+  }
+
+  /// Throws UsageError, naming the word, unless `given` fits the
+  /// positionals the synopsis declares: one per "<word>" or bare word, at
+  /// most one per "[word]", any number for a last "[word ...]".
+  void check_positionals(const std::vector<std::string>& given) const {
+    std::vector<std::string> declared;
+    for (std::string& word : words()) {
+      if (word.rfind("[--", 0) != 0) declared.push_back(std::move(word));
+    }
+    const bool repeats = !declared.empty() &&
+                         declared.back().find("...") != std::string::npos;
+    if (!repeats && given.size() > declared.size()) {
+      throw util::UsageError("unexpected argument '" +
+                             given[declared.size()] + "'");
+    }
+    if (given.size() < declared.size() && declared[given.size()][0] != '[') {
+      throw util::UsageError("missing " + declared[given.size()]);
+    }
+  }
 };
 
 constexpr Command kCommands[] = {
-    {"figures", {"[fig1..fig8]", kFigureFlags, "[--metrics-out FILE]"},
+    {"figures", {"[fig1..fig8 ...]", kFigureFlags, "[--metrics-out FILE]"},
      "reproduce the paper's figures as tables", cmd_figures},
     {"metrics",
-     {"[fig1..fig8]", kFigureFlags,
+     {"[fig1..fig8 ...]", kFigureFlags,
       "[--seed S] [--format json|prom] [--out FILE]"},
      "obs registry snapshot of figure runs (default fig5, 3 reps)",
      cmd_metrics},
@@ -1429,7 +1410,9 @@ constexpr Command kCommands[] = {
      cmd_profile},
     {"bench", {"[--quick] [--jobs N] [--scenario S] [--out FILE]"},
      "macro-benchmark suite -> canonical BENCH_vgrid.json", cmd_bench},
-    {"fleet", {kFleetFlags, "[--out FILE] [--metrics-out FILE] [--selfcheck]"},
+    {"fleet",
+     {kFleetFlags,
+      "[--out FILE] [--metrics-out FILE] [--selfcheck] [--timeseries]"},
      "population run: percentile summary, identical for any --jobs",
      cmd_fleet},
     {"timeseries", {"[fig1..fig8]", kFigureFlags, kSamplerFlags},
@@ -1438,15 +1421,18 @@ constexpr Command kCommands[] = {
     {"timeseries", {"fleet", kFleetFlags, kSamplerFlags},
      "the same for the fleet's shard checkpoints", cmd_timeseries},
     {"watch", {"[fleet]", kFleetFlags, "[--no-progress]"},
-     "live fleet progress on stderr; the summary on stdout", cmd_watch},
+     "live fleet progress on stderr; the summary on stdout",
+     cmd_watch_fleet},
     {"watch", {"grid", "[--workunits W] [--clients C]", "[--no-progress]"},
-     "live progress of a real grid server polled via SCRAPE", cmd_watch},
-    {"trace", {"[fleet]", kFleetFlags, kTraceFlags},
+     "live progress of a real grid server polled via SCRAPE",
+     cmd_watch_grid},
+    {"trace", {"[fleet]", kFleetFlags, "[--ring N]", kTraceFlags},
      "per-workunit lifecycle timelines; --out writes a Chrome trace",
      cmd_trace},
     {"trace", {"grid", kGridScriptFlags, kTraceFlags},
      "the same for a scripted grid protocol run", cmd_trace},
-    {"tails", {"[fleet]", kFleetFlags, "[--selfcheck]"},
+    {"tails",
+     {"[fleet]", kFleetFlags, "[--ring N] [--selfcheck] [--timeseries]"},
      "turnaround decomposition and wasted-work ledger", cmd_tails},
     {"tails", {"grid", kGridScriptFlags, "[--selfcheck]"},
      "the same for a scripted grid protocol run", cmd_tails},
@@ -1462,7 +1448,8 @@ constexpr Command kCommands[] = {
       "[--seed S] [--metrics-only] [--profile] [--eventlog] [--timeseries]"},
      "byte-diff a serial run against an N-worker run (exit 1 on divergence)",
      cmd_determinism_audit},
-    {"determinism-audit", {"fleet", kFleetFlags, "[--eventlog]"},
+    {"determinism-audit",
+     {"fleet", kFleetFlags, "[--eventlog] [--ring N] [--timeseries]"},
      "the same for the fleet summary, metrics and journal",
      cmd_determinism_audit},
     {"audit-selftest", {"<empty-pop|empty-next-time>"},
@@ -1470,19 +1457,15 @@ constexpr Command kCommands[] = {
 };
 
 /// `lead` then the synopsis, wrapped between words at 79 columns with
-/// continuation lines aligned under the synopsis. A bracket group such as
-/// "[--hosts N]" is one word.
+/// continuation lines aligned under the synopsis.
 void print_synopsis(const std::string& lead, const Command& command) {
-  const std::string text = command.synopsis_text();
   std::string line = lead;
-  for (std::size_t at = 0, end = 0; at < text.size(); at = end + 1) {
-    end = std::min(text.find(text[at] == '[' ? "] " : " ", at), text.size());
-    if (text[at] == '[' && end < text.size()) ++end;
-    if (line.size() > lead.size() && line.size() + 1 + end - at > 79) {
+  for (const std::string& word : command.words()) {
+    if (line.size() > lead.size() && line.size() + 1 + word.size() > 79) {
       std::fprintf(stderr, "%s\n", line.c_str());
       line.assign(lead.size(), ' ');
     }
-    line.append(" ").append(text, at, end - at);
+    line.append(" ").append(word);
   }
   std::fprintf(stderr, "%s\n", line.c_str());
 }
@@ -1535,7 +1518,9 @@ int dispatch(int argc, char** argv) {
   try {
     const Command* command = select_command(argc, argv);
     if (command == nullptr) return usage();
-    return command->run(Args(command->synopsis_text(), argc, argv, 2));
+    const Args args(command->synopsis_text(), argc, argv, 2);
+    command->check_positionals(args.positional());
+    return command->run(args);
   } catch (const util::UsageError& error) {
     std::fprintf(stderr, "vgrid %s: %s\n", argv[1], error.what());
     return usage(argv[1]);
